@@ -4,10 +4,10 @@
 // correctness, so alignment is purely a performance contract: a 32-byte
 // base guarantees a whole ymm row never splits across cache lines when
 // the row stride is a multiple of 8 floats, and adjacent arena buffers
-// never share a line. Tensor4 batches, the InferenceContext scratch
-// arenas and the quantized-inference scratch all allocate through
-// aligned_vector so the guarantee holds for every kernel operand the
-// batched paths touch; Debug builds assert it (nn/inference.cpp).
+// never share a line. Tensor4 batches and the InferenceContext scratch
+// arenas allocate through aligned_vector so the guarantee holds for
+// every kernel operand the batched paths touch; Debug builds assert it
+// (nn/inference.cpp).
 #pragma once
 
 #include <cstddef>

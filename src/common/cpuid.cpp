@@ -1,6 +1,7 @@
 #include "common/cpuid.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 
 namespace dl2f::common {
@@ -10,8 +11,8 @@ namespace {
 SimdLevel detect() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports reads CPUID once per process (libgcc caches).
+  // x86 CPUs without AVX2 run the auto-vectorized scalar TU.
   if (__builtin_cpu_supports("avx2")) return SimdLevel::Avx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::Sse2;
   return SimdLevel::Scalar;
 #else
   return SimdLevel::Scalar;
@@ -21,20 +22,27 @@ SimdLevel detect() noexcept {
 /// Environment clamp, read once at first dispatch. The env vars exist so
 /// CI (and any operator) can pin the scalar golden path on an identical
 /// binary: DL2F_FORCE_SCALAR=1 wins, else DL2F_GEMM_BACKEND names a tier.
+/// A DL2F_GEMM_BACKEND value that names no tier ends the process: a
+/// misspelt pin would otherwise silently benchmark the wrong tier.
 SimdLevel env_ceiling() noexcept {
   // One-time read of a deployment-level kernel-tier override; every tier
   // is bitwise-identical, so this cannot make any result environment-
   // dependent — only the speed at which it appears.
+  SimdLevel requested = SimdLevel::Avx2;  // no override: detection alone decides
   // lint-allow(DL001): bitwise-neutral kernel-tier override, see above
+  if (const char* be = std::getenv("DL2F_GEMM_BACKEND"); be != nullptr) {
+    if (!parse_simd_level(be, requested)) {
+      // _Exit, not exit: the first dispatch may happen on a worker thread,
+      // where running static destructors under live threads is unsafe.
+      std::fprintf(stderr, "DL2F_GEMM_BACKEND='%s' names no GEMM tier (scalar|avx2)\n", be);
+      std::_Exit(EXIT_FAILURE);
+    }
+  }
+  // lint-allow(DL001): same one-time override read as above.
   if (const char* fs = std::getenv("DL2F_FORCE_SCALAR"); fs != nullptr && fs[0] == '1') {
     return SimdLevel::Scalar;
   }
-  // lint-allow(DL001): same one-time override read as above.
-  if (const char* be = std::getenv("DL2F_GEMM_BACKEND"); be != nullptr) {
-    SimdLevel parsed{};
-    if (parse_simd_level(be, parsed)) return parsed;
-  }
-  return SimdLevel::Avx2;  // no override: detection alone decides
+  return requested;
 }
 
 std::atomic<std::uint8_t>& active_storage() noexcept {
@@ -73,8 +81,6 @@ SimdLevel force_simd_level(SimdLevel level) noexcept {
 bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
   if (name == "scalar") {
     out = SimdLevel::Scalar;
-  } else if (name == "sse2") {
-    out = SimdLevel::Sse2;
   } else if (name == "avx2") {
     out = SimdLevel::Avx2;
   } else {
@@ -85,7 +91,6 @@ bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
 
 const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
-    case SimdLevel::Sse2: return "sse2";
     case SimdLevel::Avx2: return "avx2";
     case SimdLevel::Scalar: break;
   }

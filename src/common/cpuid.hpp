@@ -26,8 +26,7 @@ namespace dl2f::common {
 /// order: every level's kernels run on hardware of any higher level.
 enum class SimdLevel : std::uint8_t {
   Scalar = 0,  ///< portable C++ (the golden reference; auto-vectorized)
-  Sse2 = 1,    ///< 4-lane explicit kernels (x86-64 baseline)
-  Avx2 = 2,    ///< 8-lane explicit kernels
+  Avx2 = 1,    ///< 8-lane explicit kernels
 };
 
 /// Highest level this CPU can execute, ignoring overrides. Non-x86
@@ -36,8 +35,9 @@ enum class SimdLevel : std::uint8_t {
 
 /// The level the kernel dispatch actually uses: detected, clamped by the
 /// environment (DL2F_FORCE_SCALAR=1 pins Scalar; DL2F_GEMM_BACKEND=
-/// scalar|sse2|avx2 requests a tier) and by force_simd_level(). Resolved
-/// once and cached — cheap enough for per-call reads.
+/// scalar|avx2 requests a tier, and any other value exits the process
+/// with a message on stderr) and by force_simd_level(). Resolved once
+/// and cached — cheap enough for per-call reads.
 [[nodiscard]] SimdLevel active_simd_level() noexcept;
 
 /// Programmatic override (bench --gemm-backend, parity tests): request a
@@ -47,7 +47,7 @@ enum class SimdLevel : std::uint8_t {
 /// during setup, before scoring threads start.
 SimdLevel force_simd_level(SimdLevel level) noexcept;
 
-/// Parse "scalar"/"sse2"/"avx2" (case-sensitive, the spelling the env
+/// Parse "scalar"/"avx2" (case-sensitive, the spelling the env
 /// var and bench flags use). Returns false and leaves `out` untouched on
 /// any other input.
 [[nodiscard]] bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept;

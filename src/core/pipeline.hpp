@@ -60,7 +60,6 @@
 #include "core/tlm.hpp"
 #include "core/vce.hpp"
 #include "nn/inference.hpp"
-#include "nn/quant.hpp"
 #include "temporal/detector.hpp"
 
 namespace dl2f::core {
@@ -148,39 +147,12 @@ class PipelineEngine {
     return *temporal_;
   }
 
-  /// Derive (or re-derive) the int8 twins of the detector and localizer
-  /// models from their CURRENT float weights (nn::QuantizedSequential).
-  /// Deterministic and idempotent. Call after training or weight loading,
-  /// never while sessions are scoring. Int8-precision sessions require it.
-  void quantize();
-
-  /// Restore the int8 twins from QuantizedSequential::save blobs instead
-  /// of re-deriving them. Throws std::runtime_error when a blob does not
-  /// match the architecture.
-  void load_quantized(std::istream& detector_blob, std::istream& localizer_blob);
-
-  /// True once quantize() or load_quantized() has run.
-  [[nodiscard]] bool has_quantized() const noexcept { return !detector_quant_.empty(); }
-  [[nodiscard]] const nn::QuantizedSequential& detector_quant() const noexcept {
-    assert(has_quantized());
-    return detector_quant_;
-  }
-  [[nodiscard]] const nn::QuantizedSequential& localizer_quant() const noexcept {
-    assert(has_quantized());
-    return localizer_quant_;
-  }
-
  private:
   Dl2FenceConfig cfg_;
   monitor::FrameGeometry geom_;
   DoSDetector detector_;
   DoSLocalizer localizer_;
   std::optional<temporal::TemporalDetector> temporal_;
-  // Empty unless quantize()/load_quantized() ran. The twins borrow the
-  // models' Layer objects (stable addresses across engine moves — the
-  // Sequentials hold them in unique_ptrs), so engine moves stay safe.
-  nn::QuantizedSequential detector_quant_;
-  nn::QuantizedSequential localizer_quant_;
 };
 
 /// The mutable half: per-thread scratch for scoring windows against one
@@ -193,41 +165,12 @@ class PipelineSession {
   /// Default detector batch capacity (process_batch chunks to this).
   static constexpr std::int32_t kDefaultMaxBatch = 32;
 
-  /// Numeric precision the session scores CNN passes at. Int8 routes the
-  /// detector and localizer through the engine's quantized twins
-  /// (per-sample dynamic activation scales, exact int32 accumulation);
-  /// everything downstream of the CNNs (thresholds, fusion, TLM, VCE) is
-  /// identical. Int8 requires engine.has_quantized().
-  enum class Precision : std::uint8_t { Float32, Int8 };
-
-  /// Int8 guard band: a window whose int8 detector probability lands
-  /// within this margin of the decision threshold is re-scored through
-  /// the float model, and the float probability wins. Quantization can
-  /// only flip a verdict by perturbing a probability ACROSS the
-  /// threshold, so as long as the int8 sigmoid error stays under the
-  /// margin, an Int8 session's verdicts are decision-identical to
-  /// float by construction — parity is designed in, not left to where
-  /// near-threshold windows happen to fall (the robustness gate
-  /// verifies it empirically). The same margin guards the segmentation
-  /// side: a frame with any seg pixel within the margin of the
-  /// localizer threshold is re-segmented in float, so fence placement
-  /// (which feeds back into the traffic every later window sees) also
-  /// matches float. Confident windows and frames (the overwhelming
-  /// majority; see int8_fallback_windows() / int8_fallback_frames())
-  /// never leave the int8 path, and each window's score still depends
-  /// only on that window.
-  static constexpr float kInt8FallbackMargin = 0.125F;
-
   /// `engine` is borrowed and must outlive the session.
   explicit PipelineSession(const PipelineEngine& engine,
-                           std::int32_t max_batch = kDefaultMaxBatch,
-                           Precision precision = Precision::Float32);
+                           std::int32_t max_batch = kDefaultMaxBatch);
 
   [[nodiscard]] const PipelineEngine& engine() const noexcept { return *engine_; }
   [[nodiscard]] std::int32_t max_batch() const noexcept { return max_batch_; }
-  [[nodiscard]] Precision precision() const noexcept {
-    return quantized_ ? Precision::Int8 : Precision::Float32;
-  }
 
   /// Run the full round on one monitoring window.
   [[nodiscard]] RoundResult process(const monitor::FrameSample& sample);
@@ -258,39 +201,13 @@ class PipelineSession {
   [[nodiscard]] RoundResult localize(const monitor::FrameSample& sample);
   [[nodiscard]] std::vector<RoundResult> localize_batch(monitor::WindowBatch samples);
 
-  /// Windows this session scored so far / windows the Int8 guard band
-  /// re-scored through the float model (always 0 for Float32 sessions).
-  [[nodiscard]] std::uint64_t windows_scored() const noexcept { return windows_scored_; }
-  [[nodiscard]] std::uint64_t int8_fallback_windows() const noexcept {
-    return int8_fallback_windows_;
-  }
-
-  /// Frames this session segmented so far (Int8 sessions only; 0 for
-  /// Float32) / frames the segmentation-side guard band re-scored through
-  /// the float localizer because some pixel fell within
-  /// kInt8FallbackMargin of the localizer threshold.
-  [[nodiscard]] std::uint64_t frames_localized() const noexcept { return frames_localized_; }
-  [[nodiscard]] std::uint64_t int8_fallback_frames() const noexcept {
-    return int8_fallback_frames_;
-  }
-
  private:
   void detect_chunk(monitor::WindowBatch chunk, std::size_t base,
                     std::vector<float>& probabilities);
   void localize_into(const monitor::FrameSample& sample, RoundResult& r);
-  /// Detector probabilities of the n staged windows at the session's
-  /// precision, including the Int8 guard-band fallback. The pointer
-  /// stays valid until the next scoring call. Allocation-free.
-  [[nodiscard]] const float* score_staged(std::int32_t n);
 
   const PipelineEngine* engine_;
   std::int32_t max_batch_;
-  bool quantized_ = false;
-  std::uint64_t windows_scored_ = 0;
-  std::uint64_t int8_fallback_windows_ = 0;
-  std::uint64_t frames_localized_ = 0;
-  std::uint64_t int8_fallback_frames_ = 0;
-  std::vector<float> staged_probs_;  ///< max_batch_ floats, filled by score_staged
   nn::InferenceContext detector_ctx_;
   nn::InferenceContext localizer_ctx_;
   /// Bound only when the engine has a temporal head (batch capacity 1 —
@@ -323,8 +240,6 @@ class Dl2Fence {
 
   /// The shareable engine behind this shim (e.g. to spawn more sessions).
   [[nodiscard]] const PipelineEngine& engine() const noexcept { return engine_; }
-  /// Mutable access for owner-phase operations (training, quantize()).
-  [[nodiscard]] PipelineEngine& mutable_engine() noexcept { return engine_; }
 
   /// Run the full round on one monitoring window.
   [[nodiscard]] RoundResult process(const monitor::FrameSample& sample) {

@@ -6,7 +6,7 @@
 // parity tests in tests/batch_train_test.cpp and tests/gemm_dispatch_
 // test.cpp pin it on every build.
 //
-// This TU owns the SCALAR tier (the golden reference the SIMD tiers are
+// This TU owns the SCALAR tier (the golden reference the AVX2 tier is
 // measured against bit for bit) and the dispatch itself: the public free
 // functions forward to the table picked by common::active_simd_level().
 #include "nn/gemm.hpp"
@@ -36,23 +36,21 @@ void scalar_conv_grad_input(const float* g, const float* w, std::int32_t in_c, s
 }
 
 constexpr GemmKernels kScalarKernels = {
-    scalar_gemm_bias,     impl_im2col,       impl_im2row,      scalar_skipzero,
-    impl_conv_forward_valid, scalar_conv_grad_input, impl_gemm_s8_s32, impl_quantize_s8,
+    scalar_gemm_bias, impl_im2col,             impl_im2row,
+    scalar_skipzero,  impl_conv_forward_valid, scalar_conv_grad_input,
 };
 
 }  // namespace
 
 namespace detail {
-// Tier tables, each defined in its own TU so it carries that TU's
-// compile flags (gemm_sse2.cpp / gemm_avx2.cpp; declared here to keep
-// the internal seam out of the public header).
-[[nodiscard]] const GemmKernels& sse2_kernels() noexcept;
+// The AVX2 table is defined in its own TU so it carries that TU's
+// compile flags (gemm_avx2.cpp; declared here to keep the internal seam
+// out of the public header).
 [[nodiscard]] const GemmKernels& avx2_kernels() noexcept;
 }  // namespace detail
 
 const GemmKernels& kernels_for(common::SimdLevel level) noexcept {
   switch (level) {
-    case common::SimdLevel::Sse2: return detail::sse2_kernels();
     case common::SimdLevel::Avx2: return detail::avx2_kernels();
     case common::SimdLevel::Scalar: break;
   }
@@ -94,16 +92,6 @@ void conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int
                      std::int32_t iw, std::int32_t k, std::int32_t pad, std::int32_t out_c,
                      float* gi) {
   active_kernels().conv_grad_input(g, w, in_c, ih, iw, k, pad, out_c, gi);
-}
-
-void gemm_s8_s32(std::int32_t m, std::int32_t n, std::int32_t k, const std::int8_t* a,
-                 std::int32_t lda, const std::int8_t* b, std::int32_t ldb, std::int32_t* c,
-                 std::int32_t ldc) {
-  active_kernels().gemm_s8_s32(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void quantize_s8(const float* src, std::int32_t n, float inv_scale, std::int8_t* dst) {
-  active_kernels().quantize_s8(src, n, inv_scale, dst);
 }
 
 void conv_weight_bias_grad_direct(const float* g, const float* src, std::int32_t in_c,

@@ -2,9 +2,8 @@
 // both convolutions (via im2col packing or the pack-free valid-padding
 // kernel) and dense layers (via sample-panel packing) route their
 // forward, inference and weight-gradient compute through the kernels
-// below. Since the SIMD dispatch landed, every kernel exists as a table
-// of variants (scalar reference, SSE2, AVX2) selected once at startup by
-// common/cpuid.hpp; the free functions of this header always call the
+// below. Every kernel exists as a table of two variants (scalar
+// reference, AVX2) selected once at startup by common/cpuid.hpp; the free functions of this header always call the
 // active table.
 //
 // ---------------------------------------------------------------------------
@@ -54,14 +53,6 @@
 //    arithmetic cannot drive to -0, and x + (+/-0) == x bitwise for every
 //    x except -0). The bitwise parity tests in tests/batch_train_test.cpp
 //    pin this empirically for every layer and padding mode.
-//  * The int8 kernels (gemm_s8_s32, quantize_s8) accumulate in exact
-//    int32 arithmetic, so THEIR ordering is free — any SIMD widening
-//    scheme is bitwise-equal to the scalar loop as long as no product
-//    saturates en route (which is why the kernels sign-extend through
-//    16/32-bit multiplies instead of using the saturating maddubs idiom).
-//    quantize_s8 rounds half-to-even (std::nearbyintf in the default FP
-//    environment == _mm256_round_ps nearest), keeping scalar and SIMD
-//    quantization bit-identical too.
 //  * Thread parallelism lives ABOVE the kernels (nn/train.hpp slices
 //    minibatches; one kernel call is always single-threaded), so results
 //    never depend on the worker count.
@@ -154,19 +145,6 @@ void conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int
                      std::int32_t iw, std::int32_t k, std::int32_t pad, std::int32_t out_c,
                      float* gi);
 
-/// Exact integer GEMM for the quantized inference path: C(m x n) =
-/// A(m x k) . B(k x n), int8 operands, int32 accumulation — no rounding
-/// and no saturation anywhere, so the result is the mathematical product
-/// on every variant (see the int8 invariant above).
-void gemm_s8_s32(std::int32_t m, std::int32_t n, std::int32_t k, const std::int8_t* a,
-                 std::int32_t lda, const std::int8_t* b, std::int32_t ldb, std::int32_t* c,
-                 std::int32_t ldc);
-
-/// Symmetric int8 quantization of a float block: dst[i] = clamp(round-
-/// half-even(src[i] * inv_scale), -127, 127). Bitwise-identical across
-/// variants (see the int8 invariant above).
-void quantize_s8(const float* src, std::int32_t n, float inv_scale, std::int8_t* dst);
-
 /// Number of elements of v[0..n) that are exactly non-zero (the path
 /// heuristic for conv_weight_bias_grad_direct).
 [[nodiscard]] std::int64_t nonzero_count(const float* v, std::size_t n);
@@ -192,14 +170,11 @@ struct GemmKernels {
                              std::int32_t, const float*, const float*, float*);
   void (*conv_grad_input)(const float*, const float*, std::int32_t, std::int32_t, std::int32_t,
                           std::int32_t, std::int32_t, std::int32_t, float*);
-  void (*gemm_s8_s32)(std::int32_t, std::int32_t, std::int32_t, const std::int8_t*, std::int32_t,
-                      const std::int8_t*, std::int32_t, std::int32_t*, std::int32_t);
-  void (*quantize_s8)(const float*, std::int32_t, float, std::int8_t*);
 };
 
 /// The kernel table of one tier. Requesting a tier the CPU cannot run is
 /// the caller's error (tests query common::detected_simd_level() first);
-/// on non-x86 builds every tier aliases the scalar table.
+/// on non-x86 builds the AVX2 table aliases the portable bodies.
 [[nodiscard]] const GemmKernels& kernels_for(common::SimdLevel level) noexcept;
 
 /// The table the free functions dispatch through:

@@ -1,22 +1,21 @@
 // INTERNAL header: portable kernel bodies shared by the dispatch tiers.
 //
-// Textually included by gemm.cpp (scalar reference), gemm_sse2.cpp and
-// gemm_avx2.cpp. Everything lives in an anonymous namespace ON PURPOSE:
-// each tier TU compiles its own copy at that TU's architecture level
-// (the AVX2 TU's copies auto-vectorize with ymm registers), and internal
-// linkage stops the linker from ODR-merging the copies back into one.
+// Textually included by gemm.cpp (scalar reference) and gemm_avx2.cpp.
+// Everything lives in an anonymous namespace ON PURPOSE: each tier TU
+// compiles its own copy at that TU's architecture level (the AVX2 TU's
+// copies auto-vectorize with ymm registers), and internal linkage stops
+// the linker from ODR-merging the copies back into one.
 // Every body follows the ACCUM-ORDER contract in gemm.hpp; the explicit
-// intrinsic kernels in the tier TUs override only the entries where
+// intrinsic kernels in the AVX2 TU override only the entries where
 // hand-written SIMD beats this portable form.
 //
 // ACCUM-ORDER: every kernel in this header owns one scalar accumulator
 // per output element and walks its reduction index strictly ascending
-// (bias first, then k = 0..K-1); the int8 kernels accumulate exactly in
-// int32. The full contract is the block in nn/gemm.hpp.
+// (bias first, then k = 0..K-1). The full contract is the block in
+// nn/gemm.hpp.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -221,37 +220,6 @@ inline void impl_conv_grad_input(Axpy&& axpy, const float* g, const float* w, st
         }
       }
     }
-  }
-}
-
-inline void impl_gemm_s8_s32(std::int32_t m, std::int32_t n, std::int32_t k, const std::int8_t* a,
-                             std::int32_t lda, const std::int8_t* b, std::int32_t ldb,
-                             std::int32_t* c, std::int32_t ldc) {
-  // Exact int32 accumulation: |a|,|b| <= 127 so a*b fits int16 and even a
-  // 2^31-deep sum cannot overflow for the model sizes in this repo (k is
-  // bounded by the widest layer, orders of magnitude below 2^16).
-  for (std::int32_t i = 0; i < m; ++i) {
-    const std::int8_t* ar = a + static_cast<std::size_t>(i) * static_cast<std::size_t>(lda);
-    std::int32_t* cr = c + static_cast<std::size_t>(i) * static_cast<std::size_t>(ldc);
-    for (std::int32_t j = 0; j < n; ++j) cr[j] = 0;
-    for (std::int32_t p = 0; p < k; ++p) {
-      const std::int32_t s = ar[p];
-      if (s == 0) continue;
-      const std::int8_t* br = b + static_cast<std::size_t>(p) * static_cast<std::size_t>(ldb);
-      for (std::int32_t j = 0; j < n; ++j) cr[j] += s * static_cast<std::int32_t>(br[j]);
-    }
-  }
-}
-
-inline void impl_quantize_s8(const float* src, std::int32_t n, float inv_scale,
-                             std::int8_t* dst) {
-  // Round half to even (std::nearbyintf under the default FP environment)
-  // then clamp: the exact sequence the SIMD variants reproduce with
-  // _mm*_round_ps nearest + min/max, so every tier emits the same bytes.
-  for (std::int32_t i = 0; i < n; ++i) {
-    float r = std::nearbyintf(src[i] * inv_scale);
-    r = std::min(127.0F, std::max(-127.0F, r));
-    dst[i] = static_cast<std::int8_t>(static_cast<std::int32_t>(r));
   }
 }
 

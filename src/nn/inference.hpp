@@ -35,7 +35,6 @@
 namespace dl2f::nn {
 
 class Sequential;
-class QuantizedSequential;
 
 class InferenceContext {
  public:
@@ -68,14 +67,8 @@ class InferenceContext {
   /// the active batch of the last forward_batch. Requires bind_train.
   [[nodiscard]] Tensor4& loss_grad();
 
-  /// Grow the aligned byte arena to at least `bytes` (never shrinks).
-  /// The quantized inference path reserves its int8/int32 staging here at
-  /// session construction so scoring stays allocation-free.
-  void reserve_bytes(std::size_t bytes);
-
  private:
   friend class Sequential;
-  friend class QuantizedSequential;
 
   const Sequential* model_ = nullptr;
   std::int32_t capacity_ = 0;
@@ -84,7 +77,6 @@ class InferenceContext {
   std::vector<Tensor4> acts_;   ///< [0] input, [i+1] output of layer i
   std::vector<Tensor4> grads_;  ///< gradient mirror of acts_ (train binding only)
   common::aligned_vector<float> scratch_;
-  common::aligned_vector<std::byte> byte_scratch_;  ///< quantized-path staging
 };
 
 }  // namespace dl2f::nn

@@ -69,13 +69,6 @@ ModelSnapshot ModelSnapshot::capture(const core::PipelineEngine& engine) {
     engine.temporal().model().save(tmp);
     snap.temporal_weights = tmp.str();
   }
-  if (engine.has_quantized()) {
-    std::ostringstream dq, lq;
-    engine.detector_quant().save(dq);
-    engine.localizer_quant().save(lq);
-    snap.detector_quant_weights = dq.str();
-    snap.localizer_quant_weights = lq.str();
-  }
   return snap;
 }
 
@@ -85,18 +78,11 @@ ModelSnapshot ModelSnapshot::capture(const core::Dl2Fence& fence) {
 
 core::PipelineEngine ModelSnapshot::make_engine() const {
   std::istringstream det(detector_weights), loc(localizer_weights);
-  auto engine = [&]() -> core::PipelineEngine {
-    if (!temporal_weights.empty()) {
-      std::istringstream tmp(temporal_weights);
-      return core::PipelineEngine(config, det, loc, tmp);
-    }
-    return core::PipelineEngine(config, det, loc);
-  }();
-  if (!detector_quant_weights.empty()) {
-    std::istringstream dq(detector_quant_weights), lq(localizer_quant_weights);
-    engine.load_quantized(dq, lq);
+  if (!temporal_weights.empty()) {
+    std::istringstream tmp(temporal_weights);
+    return core::PipelineEngine(config, det, loc, tmp);
   }
-  return engine;
+  return core::PipelineEngine(config, det, loc);
 }
 
 core::Dl2Fence ModelSnapshot::restore() const {

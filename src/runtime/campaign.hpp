@@ -31,11 +31,6 @@ struct ModelSnapshot {
   /// Temporal sequence head blob; empty when the engine has none (the
   /// config's enable_temporal flag and this blob travel together).
   std::string temporal_weights;
-  /// Int8 twins (nn::QuantizedSequential::save blobs); empty when the
-  /// captured engine was never quantized. Round-trip exactly: restoring
-  /// reloads the serialized int8 tensors rather than re-deriving them.
-  std::string detector_quant_weights;
-  std::string localizer_quant_weights;
 
   static ModelSnapshot capture(const core::PipelineEngine& engine);
   static ModelSnapshot capture(const core::Dl2Fence& fence);

@@ -7,7 +7,7 @@ namespace dl2f::runtime {
 
 DefenseRuntime::DefenseRuntime(traffic::Simulation& sim, const core::PipelineEngine& engine,
                                DefenseConfig cfg)
-    : sim_(sim), session_(engine, /*max_batch=*/1, cfg.precision), cfg_(cfg),
+    : sim_(sim), session_(engine, /*max_batch=*/1), cfg_(cfg),
       sampler_(sim.mesh().shape()),
       windows_(engine.has_temporal() ? engine.config().temporal.sequence_length : 1) {
   assert(engine.config().detector.mesh == sim.mesh().shape());

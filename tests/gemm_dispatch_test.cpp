@@ -1,14 +1,15 @@
-// Bitwise-parity sweep of the SIMD kernel tiers against the scalar
-// reference (the dispatch contract in nn/gemm.hpp): every tier the CPU
-// can run must produce byte-identical output on every kernel, including
-// every remainder-lane shape — the M, N, K sweep below hits below-one-
-// vector, exactly-one-vector, vector+tail and multi-vector+tail cases
-// for both the 4-lane (SSE2) and 8-lane (AVX2) kernels.
+// Bitwise-parity sweep of the AVX2 kernel tier against the scalar
+// reference (the dispatch contract in nn/gemm.hpp): when the CPU can run
+// it, the AVX2 tier must produce byte-identical output on every kernel,
+// including every remainder-lane shape — the M, N, K sweep below hits
+// below-one-vector, exactly-one-vector, vector+tail and
+// multi-vector+tail cases of the 8-lane kernels. Also pins how the
+// dispatch resolves its tier (force_simd_level, DL2F_GEMM_BACKEND).
 #include "nn/gemm.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -24,7 +25,6 @@ const std::int32_t kSweep[] = {1, 3, 7, 8, 9, 31, 33};
 
 std::vector<SimdLevel> available_tiers() {
   std::vector<SimdLevel> tiers;
-  if (common::detected_simd_level() >= SimdLevel::Sse2) tiers.push_back(SimdLevel::Sse2);
   if (common::detected_simd_level() >= SimdLevel::Avx2) tiers.push_back(SimdLevel::Avx2);
   return tiers;
 }
@@ -62,7 +62,7 @@ TEST(GemmDispatch, GemmBiasBitwiseParityAcrossTiers) {
 }
 
 TEST(GemmDispatch, ConvForwardValidBitwiseParityAcrossTiers) {
-  // Plane widths crossing the 4- and 8-lane boundaries (ow = iw - k + 1),
+  // Plane widths crossing the 8-lane boundary (ow = iw - k + 1),
   // channel counts exercising the 4/2/1 register-block groups.
   const GemmKernels& ref = kernels_for(SimdLevel::Scalar);
   Rng rng(42);
@@ -124,41 +124,6 @@ TEST(GemmDispatch, SkipzeroAndGradInputBitwiseParityAcrossTiers) {
   }
 }
 
-TEST(GemmDispatch, Int8KernelsBitwiseParityAcrossTiers) {
-  const GemmKernels& ref = kernels_for(SimdLevel::Scalar);
-  Rng rng(44);
-  for (SimdLevel tier : available_tiers()) {
-    const GemmKernels& kt = kernels_for(tier);
-    for (std::int32_t n : kSweep) {
-      // quantize_s8, including exact halfway points (round half to even)
-      // and values the +/-127 clamp must catch.
-      std::vector<float> src(static_cast<std::size_t>(n));
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        src[i] = i % 5 == 0 ? (static_cast<float>(i) + 0.5F)
-                            : static_cast<float>(rng.uniform(-300.0, 300.0));
-      }
-      std::vector<std::int8_t> q_ref(src.size(), 42);
-      std::vector<std::int8_t> q_simd(src.size(), -42);
-      ref.quantize_s8(src.data(), n, 1.0F, q_ref.data());
-      kt.quantize_s8(src.data(), n, 1.0F, q_simd.data());
-      EXPECT_BITWISE_EQ(q_ref, q_simd) << " at n=" << n;
-
-      // gemm_s8_s32: exact integer accumulation at every shape.
-      const std::int32_t m = 4, k = 11;
-      std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
-      std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-      for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-      for (auto& v : b) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-      a[1] = 0;  // exercise the s == 0 skip
-      std::vector<std::int32_t> c_ref(static_cast<std::size_t>(m * n), -7);
-      std::vector<std::int32_t> c_simd(c_ref.size(), +7);
-      ref.gemm_s8_s32(m, n, k, a.data(), k, b.data(), n, c_ref.data(), n);
-      kt.gemm_s8_s32(m, n, k, a.data(), k, b.data(), n, c_simd.data(), n);
-      EXPECT_BITWISE_EQ(c_ref, c_simd) << " at n=" << n;
-    }
-  }
-}
-
 TEST(GemmDispatch, ForceScalarPinsActiveTable) {
   const SimdLevel before = common::active_simd_level();
   EXPECT_EQ(common::force_simd_level(SimdLevel::Scalar), SimdLevel::Scalar);
@@ -169,6 +134,22 @@ TEST(GemmDispatch, ForceScalarPinsActiveTable) {
   EXPECT_LE(clamped, common::detected_simd_level());
   EXPECT_EQ(&active_kernels(), &kernels_for(clamped));
   common::force_simd_level(before);
+}
+
+TEST(GemmDispatchDeathTest, UnknownBackendEnvExitsNamingTheTiers) {
+  // The tier resolves once per process, so each case must run in a fresh
+  // re-executed child: the threadsafe style gives exactly that.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Names are case-sensitive; retired and unknown tiers name nothing.
+  for (const char* bad : {"SSE2", "AVX2", "avx512", "fastest"}) {
+    EXPECT_EXIT(
+        {
+          setenv("DL2F_GEMM_BACKEND", bad, 1);
+          static_cast<void>(common::active_simd_level());
+        },
+        testing::ExitedWithCode(EXIT_FAILURE), "DL2F_GEMM_BACKEND.*scalar.avx2")
+        << "DL2F_GEMM_BACKEND=" << bad;
+  }
 }
 
 }  // namespace
