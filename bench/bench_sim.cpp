@@ -12,13 +12,16 @@
 // baked in below so the emitted speedup tracks the same machine class as
 // CI. Absolute cycles/sec are machine-dependent; the ratio is the contract.
 //
-// The shard sweep (ISSUE 9) re-runs the 32x32 attack scenario at each
-// row-band shard count (default 1,2,4,8; override with --shards=a,b,c) and
-// verifies that every aggregate the golden tests pin — ejection counts,
-// bit-for-bit floating-point latency sums, histogram and telemetry hashes —
-// is identical across shard counts. Any divergence exits non-zero: this is
-// the same byte-identity gate style bench_campaign applies to worker
-// widths, here guarding the sharded stepping engine.
+// The shard sweep re-runs the 32x32 benign and attack scenarios
+// at each row-band shard count (default 1,2,4,8; override with
+// --shards=a,b,c) and verifies that every aggregate the golden tests pin —
+// ejection counts, bit-for-bit floating-point latency sums, histogram and
+// telemetry hashes — is identical across shard counts. Any divergence
+// exits non-zero: this is the same byte-identity gate style bench_campaign
+// applies to worker widths, here guarding the sharded stepping engine. The
+// benign sweep's sharded-vs-1-shard ratio is what exposes cache-line
+// contention between step threads: at benign load every shard is busy, so
+// shared lines between shards cost more than the extra cores win.
 //
 // Output: human-readable table on stdout plus machine-readable
 // BENCH_sim.json in the working directory. Pass --quick for the CI preset.
@@ -32,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/table.hpp"
@@ -55,6 +59,8 @@ struct LoadCase {
 struct Result {
   std::int32_t mesh = 0;
   std::string load;
+  std::int32_t shards = 0;        ///< resolved row-band shard count
+  std::int32_t step_threads = 0;  ///< resolved stepping thread count
   double cycles_per_sec = 0.0;
   double us_per_cycle = 0.0;
   std::int64_t flits_in_network = 0;  ///< live flits after the measured span
@@ -155,6 +161,59 @@ ShardDigest digest_of(const noc::Mesh& mesh) {
   return d;
 }
 
+struct ShardSweep {
+  std::vector<std::pair<std::int32_t, double>> cps;  ///< (requested shards, cycles/s)
+  bool identical = true;
+  double speedup = 1.0;  ///< best sharded cycles/s over the 1-shard cycles/s
+};
+
+/// Fresh 32x32 simulations of one load, identical total cycles at every
+/// shard count, digests compared against the list's first entry.
+ShardSweep shard_sweep(const LoadCase& load, const std::vector<std::int32_t>& shard_list,
+                       std::int64_t warmup, std::int64_t cycles, std::int32_t repeats) {
+  std::cout << "\nshard sweep (32x32 " << load.name << ", row-band shards):\n";
+  TextTable table({"Shards", "Threads", "Cycles/s", "us/cycle", "Identical"});
+  ShardSweep sweep;
+  ShardDigest reference;
+  for (std::size_t i = 0; i < shard_list.size(); ++i) {
+    const std::int32_t k = shard_list[i];
+    traffic::Simulation sim = make_sim(32, load.attack, k);
+    sim.run(warmup);
+    const double cps = measure(sim, cycles, repeats);
+    const ShardDigest d = digest_of(sim.mesh());
+    if (i == 0) reference = d;
+    const bool match = d == reference;
+    sweep.identical = sweep.identical && match;
+    sweep.cps.emplace_back(k, cps);
+    table.add_row({std::to_string(sim.mesh().shard_count()),
+                   std::to_string(sim.mesh().step_thread_count()), TextTable::cell(cps, 0),
+                   TextTable::cell(1e6 / cps, 3), match ? "yes" : "NO"});
+  }
+  std::cout << table;
+  double cps_1shard = 0.0;
+  double cps_sharded_best = 0.0;
+  for (const auto& [k, cps] : sweep.cps) {
+    if (k == 1) cps_1shard = cps;
+    if (k != 1) cps_sharded_best = std::max(cps_sharded_best, cps);
+  }
+  if (cps_1shard > 0.0 && cps_sharded_best > 0.0) sweep.speedup = cps_sharded_best / cps_1shard;
+  std::cout << "sharded-vs-1shard speedup (32x32 " << load.name << "): " << sweep.speedup
+            << "x\n";
+  if (!sweep.identical) {
+    std::cout << "FAIL: sharded stepping diverged from the " << shard_list.front()
+              << "-shard reference (see Identical column)\n";
+  }
+  return sweep;
+}
+
+void write_shard_cps(std::ostream& json, const ShardSweep& sweep) {
+  json << "{";
+  for (std::size_t i = 0; i < sweep.cps.size(); ++i) {
+    json << (i == 0 ? "" : ", ") << "\"" << sweep.cps[i].first << "\": " << sweep.cps[i].second;
+  }
+  json << "}";
+}
+
 /// Parse "--shards=1,2,4,8" into a shard-count list.
 std::vector<std::int32_t> parse_shard_list(std::string_view arg) {
   std::vector<std::int32_t> out;
@@ -194,7 +253,8 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   double benign_8x8 = 0.0;
-  TextTable table({"Mesh", "Load", "Cycles/s", "us/cycle", "Flits", "ns/flit-cyc"});
+  TextTable table(
+      {"Mesh", "Load", "Shards", "Threads", "Cycles/s", "us/cycle", "Flits", "ns/flit-cyc"});
   for (const std::int32_t side : sizes) {
     for (const LoadCase& load : loads) {
       traffic::Simulation sim = make_sim(side, load.attack);
@@ -203,6 +263,8 @@ int main(int argc, char** argv) {
       Result res;
       res.mesh = side;
       res.load = load.name;
+      res.shards = sim.mesh().shard_count();
+      res.step_threads = sim.mesh().step_thread_count();
       res.cycles_per_sec = cps;
       res.us_per_cycle = 1e6 / cps;
       // Per-cycle cost scales with the flits in flight, not the router
@@ -219,6 +281,7 @@ int main(int argc, char** argv) {
       results.push_back(res);
       if (side == 8 && !load.attack) benign_8x8 = cps;
       table.add_row({std::to_string(side) + "x" + std::to_string(side), load.name,
+                     std::to_string(res.shards), std::to_string(res.step_threads),
                      TextTable::cell(cps, 0), TextTable::cell(res.us_per_cycle, 3),
                      std::to_string(res.flits_in_network),
                      TextTable::cell(res.ns_per_flit_cycle, 1)});
@@ -236,71 +299,41 @@ int main(int argc, char** argv) {
               << kPreRefactorBenign8x8Cps << " -> " << speedup << "x\n";
   }
 
-  // Shard sweep: fresh 32x32 attack simulations, identical total cycles at
-  // every shard count, digests compared against the list's first entry.
-  std::cout << "\nshard sweep (32x32 attack, row-band shards):\n";
-  TextTable shard_table({"Shards", "Threads", "Cycles/s", "us/cycle", "Identical"});
-  std::vector<std::pair<std::int32_t, double>> shard_cps;
-  ShardDigest reference;
-  bool identical = true;
-  for (std::size_t i = 0; i < shard_list.size(); ++i) {
-    const std::int32_t k = shard_list[i];
-    traffic::Simulation sim = make_sim(32, /*attack=*/true, k);
-    sim.run(warmup);
-    const double cps = measure(sim, cycles, repeats);
-    const ShardDigest d = digest_of(sim.mesh());
-    if (i == 0) reference = d;
-    const bool match = d == reference;
-    identical = identical && match;
-    shard_cps.emplace_back(k, cps);
-    shard_table.add_row({std::to_string(sim.mesh().shard_count()),
-                         std::to_string(sim.mesh().step_thread_count()), TextTable::cell(cps, 0),
-                         TextTable::cell(1e6 / cps, 3), match ? "yes" : "NO"});
-  }
-  std::cout << shard_table;
-  double cps_1shard = 0.0;
-  double cps_sharded_best = 0.0;
-  for (const auto& [k, cps] : shard_cps) {
-    if (k == 1) cps_1shard = cps;
-    if (k != 1) cps_sharded_best = std::max(cps_sharded_best, cps);
-  }
-  const double shard_speedup =
-      (cps_1shard > 0.0 && cps_sharded_best > 0.0) ? cps_sharded_best / cps_1shard : 1.0;
-  std::cout << "sharded-vs-1shard speedup (32x32 attack): " << shard_speedup << "x\n";
-  if (!identical) {
-    std::cout << "FAIL: sharded stepping diverged from the " << shard_list.front()
-              << "-shard reference (see Identical column)\n";
-  }
+  // Shard sweeps: benign first, then attack.
+  const ShardSweep benign_sweep = shard_sweep(loads[0], shard_list, warmup, cycles, repeats);
+  const ShardSweep attack_sweep = shard_sweep(loads[1], shard_list, warmup, cycles, repeats);
+  const bool identical = benign_sweep.identical && attack_sweep.identical;
 
   std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"sim\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"warmup_cycles\": " << warmup << ",\n"
        << "  \"measured_cycles\": " << cycles << ",\n"
-       << "  \"repeats\": " << repeats << ",\n"
-       << "  \"cycles_per_sec\": {";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << results[i].mesh << "_" << results[i].load
-         << "\": " << results[i].cycles_per_sec;
-  }
-  json << "},\n  \"flits_in_network\": {";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << results[i].mesh << "_" << results[i].load
-         << "\": " << results[i].flits_in_network;
-  }
-  json << "},\n  \"ns_per_flit_cycle\": {";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << results[i].mesh << "_" << results[i].load
-         << "\": " << results[i].ns_per_flit_cycle;
-  }
-  json << "},\n  \"cycles_per_sec_shards\": {";
-  for (std::size_t i = 0; i < shard_cps.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << shard_cps[i].first << "\": " << shard_cps[i].second;
-  }
-  json << "},\n"
+       << "  \"repeats\": " << repeats;
+  // One {"<mesh>_<load>": value} object per per-row field.
+  const auto per_row = [&](const char* key, auto field) {
+    json << ",\n  \"" << key << "\": {";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      json << (i == 0 ? "" : ", ") << "\"" << results[i].mesh << "_" << results[i].load
+           << "\": " << results[i].*field;
+    }
+    json << "}";
+  };
+  per_row("cycles_per_sec", &Result::cycles_per_sec);
+  per_row("flits_in_network", &Result::flits_in_network);
+  per_row("ns_per_flit_cycle", &Result::ns_per_flit_cycle);
+  per_row("shards", &Result::shards);
+  per_row("step_threads", &Result::step_threads);
+  json << ",\n  \"cycles_per_sec_shards\": ";
+  write_shard_cps(json, attack_sweep);
+  json << ",\n  \"cycles_per_sec_shards_benign\": ";
+  write_shard_cps(json, benign_sweep);
+  json << ",\n"
        << "  \"shards_bitwise_identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"speedup_32_sharded_vs_1shard\": " << shard_speedup << ",\n"
+       << "  \"speedup_32_sharded_vs_1shard\": " << attack_sweep.speedup << ",\n"
+       << "  \"speedup_32_benign_sharded_vs_1shard\": " << benign_sweep.speedup << ",\n"
        << "  \"pre_refactor_benign_8x8_cps\": " << kPreRefactorBenign8x8Cps << ",\n"
        << "  \"speedup_benign_8x8_vs_pre_refactor\": " << speedup << "\n"
        << "}\n";

@@ -6,6 +6,7 @@
 // reproducible bit-for-bit across runs.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <random>
@@ -37,13 +38,33 @@ namespace dl2f {
   return h;
 }
 
+/// One 64-bit engine word mapped to a double in [0, 1), bit-for-bit what
+/// libstdc++'s std::generate_canonical<double, 53> (and so
+/// std::uniform_real_distribution<double>(0, 1)) returns for a 64-bit
+/// engine: x rounded once to double (nearest-even), scaled by 2^-64, and
+/// clamped to nextafter(1, 0) when that rounding reaches 1.
+///
+/// The library's uint64 -> double conversion branches on the sign bit,
+/// which mispredicts on about half of all random words. Here x is split
+/// into two 32-bit halves that convert exactly as signed integers; their
+/// sum hi * 2^32 + lo is the one rounding of x, and the clamp is a min.
+/// tests/rng_test.cpp pins the equality against the installed standard
+/// library, so a library that changes its reference fails that test.
+[[nodiscard]] constexpr double canonical_double(std::uint64_t x) noexcept {
+  const double hi = static_cast<double>(static_cast<std::int64_t>(x >> 32));
+  const double lo = static_cast<double>(static_cast<std::int64_t>(x & 0xffffffffULL));
+  return std::min((hi * 0x1p32 + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
+}
+
 /// Thin wrapper over a 64-bit Mersenne Twister with convenience draws.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() { return unit_(engine_); }
+  /// Uniform double in [0, 1): one engine word per call, the same value
+  /// std::uniform_real_distribution<double>(0, 1) would return (see
+  /// canonical_double), so every stream is unchanged.
+  [[nodiscard]] double uniform() { return canonical_double(engine_()); }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -54,8 +75,13 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Bernoulli trial with success probability p.
-  [[nodiscard]] bool bernoulli(double p) { return unit_(engine_) < p; }
+  /// Bernoulli trial with success probability p: `uniform() < p`, so it
+  /// draws exactly one engine word and agrees with the std distribution
+  /// draw for every p (p <= 0 or NaN never succeeds, p >= 1 always does).
+  /// It deliberately avoids the std distribution: Bernoulli draws feed
+  /// every traffic source every cycle, and the library's branchy
+  /// uint64 -> double conversion was the largest single cost there.
+  [[nodiscard]] bool bernoulli(double p) { return uniform() < p; }
 
   /// Normal draw with the given mean / standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) {
@@ -70,7 +96,6 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
 };
 
 }  // namespace dl2f

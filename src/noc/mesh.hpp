@@ -23,17 +23,16 @@
 //
 // STEP PHASES. Every cycle runs:
 //   1. NI + route phase, per shard (parallelizable): each shard serializes
-//      its source queues, steps its active routers in ascending id order,
-//      and stages outgoing link transfers/credits into per-shard arenas —
-//      one list for same-shard targets, one per neighboring shard.
+//      its active source queues, steps its active routers in ascending id
+//      order, and stages outgoing link transfers/credits into per-shard
+//      arenas — one list for same-shard targets, one per neighboring shard.
 //      Ejections are staged per shard in ascending router order.
 //   2. BARRIER (when step_threads > 1).
 //   3. Apply phase, per shard (parallelizable): each shard applies the
 //      arrivals addressed TO it — previous shard's down-list, own local
 //      list, next shard's up-list, i.e. ascending source-router order —
-//      then credits, then compacts its worklists. Only the owning shard
-//      ever writes its routers, so phases 1 and 3 are data-race-free by
-//      partition.
+//      then credits. Only the owning shard ever writes its routers, so
+//      phases 1 and 3 are data-race-free by partition.
 //   4. Serial coordinator phase: ejection statistics and the delivery
 //      listener run on the calling thread, shards in ascending order —
 //      so the order-sensitive floating-point latency accumulation and
@@ -43,27 +42,33 @@
 //      lists is state-equivalent: at most one flit per (router, port,
 //      VC) arrives per cycle and credit increments commute.)
 //
-// Two worklists per shard keep idle structure off the per-cycle path:
-//  * active_routers — a router ENTERS when a flit is delivered to it
-//    (NI injection or link arrival) while not already listed, and LEAVES
-//    at the end-of-step compaction once `buffered_flits() == 0`. A router
+// Two active sets per shard keep idle structure off the per-cycle path.
+// Each is a bitset over the shard's id range (bit i = node first + i),
+// walked word by word with countr_zero, so every sweep visits its nodes in
+// ascending id order with no sort and no rebuild:
+//  * active routers — a router's bit is SET when a flit is delivered to
+//    it (NI injection or link arrival) and CLEARED in the route sweep
+//    itself, right after Router::step leaves `buffered_flits() == 0`. An
+//    apply-phase arrival later in the same cycle sets it again. A router
 //    with an Active-but-empty VC (wormhole body flits still upstream) has
-//    buffered == 0 and correctly leaves: only a new flit arrival — which
-//    re-activates it — can give it work. Credit returns never activate:
-//    credits matter only to routers that hold flits, which are listed.
-//    Invariant between steps: buffered_flits(r) > 0  =>  r is listed.
-//  * active_sources — a node ENTERS when inject() lands a packet in its
-//    empty source queue and LEAVES at the network-interface compaction
-//    once the queue is empty (including after a quarantine flush).
-//    Invariant between steps: !source_queue_empty(n)  =>  n is listed.
-//  In both lists the membership flag (router_active_ / source_active_)
-//  mirrors list membership exactly, and a list may transiently hold
-//  already-drained entries until its next compaction. Before each sweep a
-//  list is brought into ascending order — by sorting when sparse, or by
-//  rebuilding from the membership flags when dense (cheaper than
-//  sort at saturation) — so every sweep visits routers in id order. A
-//  shard whose worklists are empty costs nothing: quiescent regions of a
-//  large mesh are skipped wholesale (the activity-driven fast path).
+//    buffered == 0 and correctly leaves: only a new flit arrival can give
+//    it work. Credit returns never activate: credits matter only to
+//    routers that hold flits, which are set.
+//    Invariant between steps: bit set  <=>  buffered_flits(r) > 0.
+//  * active sources — a node's bit is SET when inject() queues a packet
+//    and CLEARED in the NI sweep when its queue empties. A queue emptied
+//    by a quarantine flush (outside the step) clears its bit on the next
+//    sweep's visit.
+//    Invariant between steps: !source_queue_empty(n)  =>  bit set.
+// ONE LINE PER SHARD. Each shard's bit words live in whole 64-byte cache
+// lines (ActiveBits stores alignas(64) lines in its own allocation). The
+// bits are written every cycle by the thread that steps the shard; if two
+// shards' words shared a line, every such write would bounce the line
+// between step threads (false sharing). Packing the shards' words back to
+// back cost ~18% of 32x32 benign throughput at the default 4 shards on a
+// 4-core AVX2 VM (median of 3 runs); bench_sim's
+// speedup_32_benign_sharded_vs_1shard floor fails when sharing drags the
+// sharded sweep below 0.75x the 1-shard sweep.
 //
 // Mesh::step performs ZERO steady-state heap allocations: every arena —
 // per-shard staging lists included — is reserved at its physical per-cycle
@@ -73,6 +78,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -240,6 +246,44 @@ class Mesh {
     std::int32_t vc;
   };
 
+  /// Set of node ids within one shard, as bits walked in ascending order.
+  /// The words are stored in whole 64-byte lines in an allocation of their
+  /// own, so no two shards' sets share a cache line (see the header block).
+  class ActiveBits {
+   public:
+    /// Size for ids [0, n), all clear.
+    void assign(std::size_t n) {
+      words_ = (n + 63) / 64;
+      lines_.assign((words_ + kWordsPerLine - 1) / kWordsPerLine, Line{});
+    }
+    void set(std::size_t i) noexcept { word(i / 64) |= std::uint64_t{1} << (i % 64); }
+    void reset(std::size_t i) noexcept { word(i / 64) &= ~(std::uint64_t{1} << (i % 64)); }
+    /// Call f(i) for every set id in ascending order. f may reset the id
+    /// it is visiting; ids set during the walk are not guaranteed a visit.
+    template <typename F>
+    void for_each(F&& f) const {
+      for (std::size_t w = 0; w < words_; ++w) {
+        for (std::uint64_t bits = word(w); bits != 0; bits &= bits - 1) {
+          f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        }
+      }
+    }
+
+   private:
+    static constexpr std::size_t kWordsPerLine = 8;
+    struct alignas(64) Line {
+      std::array<std::uint64_t, kWordsPerLine> words{};
+    };
+    [[nodiscard]] std::uint64_t& word(std::size_t w) noexcept {
+      return lines_[w / kWordsPerLine].words[w % kWordsPerLine];
+    }
+    [[nodiscard]] std::uint64_t word(std::size_t w) const noexcept {
+      return lines_[w / kWordsPerLine].words[w % kWordsPerLine];
+    }
+    std::vector<Line> lines_;
+    std::size_t words_ = 0;
+  };
+
   /// One contiguous row band of routers plus everything its worker needs
   /// to step them without touching another shard's state (see the phase
   /// contract in the header block).
@@ -247,10 +291,9 @@ class Mesh {
     NodeId first = 0;  ///< first router id of the band (inclusive)
     NodeId end = 0;    ///< one past the band's last router id
 
-    // Worklists (per-shard restriction of the former global lists).
-    std::vector<NodeId> active_routers;
-    std::vector<NodeId> active_sources;
-    std::vector<NodeId> order_scratch;  ///< dense-mode ascending rebuild
+    // Active sets, indexed by id - first (see the header block).
+    ActiveBits active_routers;
+    ActiveBits active_sources;
 
     // Per-router step scratch (cleared per router, capacity kept).
     std::vector<LinkTransfer> transfers;
@@ -277,27 +320,6 @@ class Mesh {
   void finish_cycle();
   /// Phases 1-3 for every shard owned by `participant` (strided).
   void step_shards(std::int32_t participant);
-  /// Bring a worklist into ascending order (sort when sparse, rebuild from
-  /// the membership flags when dense).
-  void order_worklist(std::vector<NodeId>& list, std::vector<NodeId>& scratch,
-                      const std::vector<char>& flags, NodeId first, NodeId end);
-
-  /// Put a router on its shard's active worklist (idempotent).
-  void activate_router(NodeId id) {
-    if (router_active_[static_cast<std::size_t>(id)] == 0) {
-      router_active_[static_cast<std::size_t>(id)] = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])]
-          .active_routers.push_back(id);
-    }
-  }
-  /// Put a source queue on its shard's active worklist (idempotent).
-  void activate_source(NodeId id) {
-    if (source_active_[static_cast<std::size_t>(id)] == 0) {
-      source_active_[static_cast<std::size_t>(id)] = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])]
-          .active_sources.push_back(id);
-    }
-  }
 
   MeshConfig cfg_;
   Cycle now_ = 0;
@@ -323,11 +345,6 @@ class Mesh {
   std::vector<std::array<NodeId, kNumMeshDirections>> neighbors_;
   std::int32_t step_threads_ = 1;
   std::unique_ptr<StepPool> pool_;  ///< nullptr when step_threads_ == 1
-
-  // Worklist membership flags (global, indexed by node id; each entry is
-  // only written by the node's owning shard during parallel phases).
-  std::vector<char> router_active_;
-  std::vector<char> source_active_;
 };
 
 /// Full XY route from src to dst, inclusive of both endpoints.

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 namespace dl2f {
 namespace {
 
@@ -78,6 +85,90 @@ TEST(Rng, NormalMoments) {
   const double var = sq / kTrials - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
+}
+
+/// A 64-bit "engine" that returns one fixed word: feeds a chosen x through
+/// the standard library's own canonical mapping.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
+  result_type operator()() const { return x; }
+  result_type x;
+};
+
+double std_canonical(std::uint64_t x) {
+  FixedWord engine{x};
+  return std::generate_canonical<double, std::numeric_limits<double>::digits>(engine);
+}
+
+TEST(Rng, CanonicalDoubleMatchesStdGenerateCanonicalAtRoundingEdges) {
+  // Ties round to even: near 2^63 doubles are 2^11 apart, so +1024 is a
+  // tie that stays at 2^63 and +1025 rounds up. Near 2^64 the spacing is
+  // still 2^11, and everything from 2^64 - 1024 up rounds to 2^64, i.e. 1,
+  // which the clamp turns into the largest double below 1.
+  constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::array<std::uint64_t, 12> edges{0,
+                                            1,
+                                            (std::uint64_t{1} << 53) - 1,
+                                            (std::uint64_t{1} << 53) + 1,
+                                            k63 - 1,
+                                            k63,
+                                            k63 + 1024,
+                                            k63 + 1025,
+                                            kMax - 2047,
+                                            kMax - 1023,
+                                            kMax - 1022,
+                                            kMax};
+  for (const std::uint64_t x : edges) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(canonical_double(x)),
+              std::bit_cast<std::uint64_t>(std_canonical(x)))
+        << "x = " << x;
+  }
+  const double below_one = std::nextafter(1.0, 0.0);
+  EXPECT_EQ(canonical_double(0), 0.0);
+  EXPECT_EQ(canonical_double(k63 + 1024), 0.5);
+  EXPECT_EQ(canonical_double(k63 + 1025), 0.5 + 0x1p-53);
+  EXPECT_EQ(canonical_double(kMax - 2047), 1.0 - 0x1p-53);
+  EXPECT_EQ(canonical_double(kMax - 1023), below_one);
+  EXPECT_EQ(canonical_double(kMax), below_one);
+}
+
+TEST(Rng, UniformAndBernoulliMatchStdDistributionDrawForDraw) {
+  // Rng::uniform/bernoulli bypass std::uniform_real_distribution for speed
+  // but must reproduce it exactly: every simulation stream depends on it.
+  constexpr int kDraws = 1'000'000;
+  {
+    Rng rng(0x5eed);
+    std::mt19937_64 twin(0x5eed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    int mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      mismatches += std::bit_cast<std::uint64_t>(rng.uniform()) !=
+                    std::bit_cast<std::uint64_t>(unit(twin));
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(rng.engine()(), twin()) << "uniform() must draw exactly one engine word";
+  }
+  const std::array<double, 9> probabilities{0.0,
+                                            1e-300,
+                                            0.002,
+                                            0.08,
+                                            0.5,
+                                            1.0 - 0x1p-53,
+                                            1.0,
+                                            1.5,
+                                            std::numeric_limits<double>::quiet_NaN()};
+  for (const double p : probabilities) {
+    Rng rng(0xb0b);
+    std::mt19937_64 twin(0xb0b);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    int mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) mismatches += rng.bernoulli(p) != (unit(twin) < p);
+    EXPECT_EQ(mismatches, 0) << "p = " << p;
+    EXPECT_EQ(rng.engine()(), twin()) << "bernoulli() must draw exactly one engine word";
+  }
 }
 
 TEST(Rng, ForkIsIndependentButDeterministic) {
