@@ -38,6 +38,7 @@ class SyntheticTraffic final : public TrafficGenerator {
  private:
   SyntheticPattern pattern_;
   double rate_;
+  Chance chance_;  ///< rate_, resolved once
   Rng rng_;
 };
 

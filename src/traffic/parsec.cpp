@@ -51,7 +51,11 @@ ParsecTraffic::ParsecTraffic(ParsecWorkload workload, const MeshShape& shape, st
 
 ParsecTraffic::ParsecTraffic(ParsecWorkload workload, const MeshShape& shape,
                              const ParsecParams& params, std::uint64_t seed)
-    : workload_(workload), params_(params), rng_(seed) {
+    : workload_(workload),
+      params_(params),
+      base_chance_(params.base_rate),
+      burst_chance_(params.burst_rate),
+      rng_(seed) {
   // Memory controllers at the four corners.
   controllers_ = {
       shape.id_of(Coord{0, 0}),
@@ -99,7 +103,7 @@ NodeId ParsecTraffic::pick_destination(const MeshShape& shape, NodeId src) {
 }
 
 void ParsecTraffic::tick(noc::Mesh& mesh) {
-  const double rate = in_burst(mesh.now()) ? params_.burst_rate : params_.base_rate;
+  const Chance& rate = in_burst(mesh.now()) ? burst_chance_ : base_chance_;
   const auto n = mesh.shape().node_count();
   for (NodeId src = 0; src < n; ++src) {
     if (!rng_.bernoulli(rate)) continue;

@@ -68,6 +68,8 @@ class ParsecTraffic final : public TrafficGenerator {
 
   ParsecWorkload workload_;
   ParsecParams params_;
+  Chance base_chance_;   ///< params_.base_rate, resolved once
+  Chance burst_chance_;  ///< params_.burst_rate
   std::vector<NodeId> controllers_;
   Rng rng_;
 };

@@ -1,11 +1,35 @@
 #include "workload/endpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "noc/stats.hpp"
 
 namespace dl2f::workload {
+namespace {
+
+/// Set node's bit in a one-bit-per-node occupancy set.
+void mark(std::vector<std::uint64_t>& bits, NodeId node) noexcept {
+  const auto n = static_cast<std::size_t>(node);
+  bits[n / 64] |= std::uint64_t{1} << (n % 64);
+}
+
+/// Call visit(node) for every set bit in ascending node order; a visit
+/// that returns true (it left the node's queue empty) clears the bit.
+template <typename Visit>
+void sweep(std::vector<std::uint64_t>& bits, Visit&& visit) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t live = bits[w]; live != 0; live &= live - 1) {
+      const int b = std::countr_zero(live);
+      if (visit(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)))) {
+        bits[w] &= ~(std::uint64_t{1} << b);
+      }
+    }
+  }
+}
+
+}  // namespace
 
 RequestReplyWorkload::RequestReplyWorkload(const MeshShape& mesh,
                                            std::unique_ptr<TraceSource> source,
@@ -22,6 +46,8 @@ RequestReplyWorkload::RequestReplyWorkload(const MeshShape& mesh,
   pending_.resize(n);
   outstanding_.assign(n, 0);
   reply_queues_.resize(n);
+  pending_bits_.assign((n + 63) / 64, 0);
+  reply_bits_.assign((n + 63) / 64, 0);
   latency_hist_.assign(kLatencyBuckets, 0);
 }
 
@@ -48,8 +74,9 @@ void RequestReplyWorkload::tick(noc::Mesh& mesh) {
 void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
   // Ascending node order keeps the injection sequence — and therefore the
   // whole simulation — deterministic. Requests normally land on servers_,
-  // but a file trace may address any node, so every queue is swept.
-  for (NodeId node = 0; node < mesh_shape_.node_count(); ++node) {
+  // but a file trace may address any node, so every non-empty queue is
+  // swept; reply_bits_ names them.
+  sweep(reply_bits_, [&](NodeId node) {
     auto& q = reply_queues_[static_cast<std::size_t>(node)];
     while (!q.empty() && q.front().ready <= now) {
       if (mesh.source_queue_length(node) >= cfg_.max_ni_queue) {
@@ -70,7 +97,8 @@ void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
       reply_meta_.emplace(pid, ReplyMeta{r.client, r.issue_cycle});
       ++stats_.replies_issued;
     }
-  }
+    return q.empty();
+  });
 }
 
 void RequestReplyWorkload::pull_due_records(noc::Cycle now) {
@@ -84,12 +112,13 @@ void RequestReplyWorkload::pull_due_records(noc::Cycle now) {
     }
     if (peeked_.cycle > now) break;
     pending_[static_cast<std::size_t>(peeked_.src)].push_back(peeked_);
+    mark(pending_bits_, peeked_.src);
     have_peeked_ = false;
   }
 }
 
 void RequestReplyWorkload::issue_requests(noc::Mesh& mesh, noc::Cycle now) {
-  for (NodeId node = 0; node < mesh_shape_.node_count(); ++node) {
+  sweep(pending_bits_, [&](NodeId node) {
     auto& due = pending_[static_cast<std::size_t>(node)];
     while (!due.empty()) {
       const TraceRecord& rec = due.front();
@@ -125,7 +154,8 @@ void RequestReplyWorkload::issue_requests(noc::Mesh& mesh, noc::Cycle now) {
       ++outstanding_[static_cast<std::size_t>(node)];
       due.pop_front();
     }
-  }
+    return due.empty();
+  });
 }
 
 void RequestReplyWorkload::on_packet_delivered(const noc::Flit& tail, noc::Cycle now) {
@@ -133,6 +163,7 @@ void RequestReplyWorkload::on_packet_delivered(const noc::Flit& tail, noc::Cycle
     ++stats_.requests_delivered;
     reply_queues_[static_cast<std::size_t>(tail.dst)].push_back(
         PendingReply{now + cfg_.service_latency, tail.src, it->second.issue_cycle});
+    mark(reply_bits_, tail.dst);
     request_meta_.erase(it);
     return;
   }

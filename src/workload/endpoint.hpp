@@ -80,6 +80,11 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
   [[nodiscard]] std::size_t pending_requests(NodeId client) const {
     return pending_[static_cast<std::size_t>(client)].size();
   }
+  /// Delivered requests whose reply has not yet been injected or dropped
+  /// at one server.
+  [[nodiscard]] std::size_t pending_replies(NodeId server) const {
+    return reply_queues_[static_cast<std::size_t>(server)].size();
+  }
 
   /// Round-trip (request issue -> reply delivery) latency percentile over
   /// all completed replies, nearest-rank, exact overflow maximum.
@@ -128,6 +133,19 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
   std::vector<std::deque<TraceRecord>> pending_;
   std::vector<std::int32_t> outstanding_;
   std::vector<std::deque<PendingReply>> reply_queues_;  ///< per server, FIFO by ready cycle
+
+  /// Occupancy bitsets, one bit per node in 64-bit words (node n is bit
+  /// n % 64 of word n / 64). Invariant outside a sweep: a node's bit is set
+  /// exactly when its queue is non-empty. Every push sets the bit
+  /// (pull_due_records for pending_, on_packet_delivered for
+  /// reply_queues_); a sweep clears it when it leaves that queue empty.
+  /// The sweeps visit set bits in ascending node order, which is the order
+  /// of a scan over all N queues, so the injection sequence is unchanged
+  /// while idle nodes cost nothing. A queue only grows outside the sweep
+  /// that drains it (the mesh calls on_packet_delivered from step(), never
+  /// from inject()), so a sweep never misses a push.
+  std::vector<std::uint64_t> pending_bits_;
+  std::vector<std::uint64_t> reply_bits_;
 
   std::unordered_map<noc::PacketId, RequestMeta> request_meta_;
   std::unordered_map<noc::PacketId, ReplyMeta> reply_meta_;

@@ -154,7 +154,11 @@ bool GeneratedTraceSource::next(TraceRecord& out) {
 }
 
 BurstyTraceSource::BurstyTraceSource(const Config& cfg, std::uint64_t seed)
-    : cfg_(cfg), clients_(client_nodes(cfg.mesh, cfg.servers)), rng_(seed) {
+    : cfg_(cfg),
+      quiet_chance_(cfg.quiet_rate),
+      burst_chance_(cfg.burst_rate),
+      clients_(client_nodes(cfg.mesh, cfg.servers)),
+      rng_(seed) {
   assert(!cfg_.servers.empty());
   assert(cfg_.quiet_cycles + cfg_.burst_cycles > 0);
 }
@@ -162,7 +166,7 @@ BurstyTraceSource::BurstyTraceSource(const Config& cfg, std::uint64_t seed)
 void BurstyTraceSource::generate_cycle(noc::Cycle cycle, std::vector<TraceRecord>& out) {
   const noc::Cycle period = cfg_.quiet_cycles + cfg_.burst_cycles;
   const bool burst = (cycle % period) >= cfg_.quiet_cycles;
-  const double rate = burst ? cfg_.burst_rate : cfg_.quiet_rate;
+  const Chance& rate = burst ? burst_chance_ : quiet_chance_;
   for (const NodeId client : clients_) {
     if (!rng_.bernoulli(rate)) continue;
     const auto pick = rng_.uniform_int(0, static_cast<std::int64_t>(cfg_.servers.size()) - 1);
@@ -172,7 +176,12 @@ void BurstyTraceSource::generate_cycle(noc::Cycle cycle, std::vector<TraceRecord
 }
 
 MarkovOnOffTraceSource::MarkovOnOffTraceSource(const Config& cfg, std::uint64_t seed)
-    : cfg_(cfg), clients_(client_nodes(cfg.mesh, cfg.servers)), rng_(seed) {
+    : cfg_(cfg),
+      on_chance_(cfg.p_on),
+      off_chance_(cfg.p_off),
+      rate_chance_(cfg.on_rate),
+      clients_(client_nodes(cfg.mesh, cfg.servers)),
+      rng_(seed) {
   assert(!cfg_.servers.empty());
   on_.assign(clients_.size(), 0);
 }
@@ -180,11 +189,11 @@ MarkovOnOffTraceSource::MarkovOnOffTraceSource(const Config& cfg, std::uint64_t 
 void MarkovOnOffTraceSource::generate_cycle(noc::Cycle cycle, std::vector<TraceRecord>& out) {
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     if (on_[i] == 0) {
-      if (rng_.bernoulli(cfg_.p_on)) on_[i] = 1;
-    } else if (rng_.bernoulli(cfg_.p_off)) {
+      if (rng_.bernoulli(on_chance_)) on_[i] = 1;
+    } else if (rng_.bernoulli(off_chance_)) {
       on_[i] = 0;
     }
-    if (on_[i] == 0 || !rng_.bernoulli(cfg_.on_rate)) continue;
+    if (on_[i] == 0 || !rng_.bernoulli(rate_chance_)) continue;
     const auto pick = rng_.uniform_int(0, static_cast<std::int64_t>(cfg_.servers.size()) - 1);
     out.push_back(TraceRecord{cycle, clients_[i], cfg_.servers[static_cast<std::size_t>(pick)],
                               TraceKind::Request, cfg_.request_flits});

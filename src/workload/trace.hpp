@@ -138,6 +138,8 @@ class BurstyTraceSource final : public GeneratedTraceSource {
 
  private:
   Config cfg_;
+  Chance quiet_chance_;          ///< cfg_.quiet_rate, resolved once
+  Chance burst_chance_;          ///< cfg_.burst_rate, resolved once
   std::vector<NodeId> clients_;  ///< all non-server nodes, ascending
   Rng rng_;
 };
@@ -164,6 +166,9 @@ class MarkovOnOffTraceSource final : public GeneratedTraceSource {
 
  private:
   Config cfg_;
+  Chance on_chance_;   ///< cfg_.p_on, resolved once
+  Chance off_chance_;  ///< cfg_.p_off
+  Chance rate_chance_; ///< cfg_.on_rate
   std::vector<NodeId> clients_;
   std::vector<char> on_;  ///< per-client on/off state, indexed like clients_
   Rng rng_;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -224,6 +226,154 @@ TEST(Endpoints, BackpressureCapsTheSourceQueue) {
     EXPECT_LE(h.sim.mesh().source_queue_length(5), 2U);
   }
   EXPECT_EQ(h.wl->stats().replies_completed, 20);
+}
+
+/// 16x16 harness (256 nodes, so the endpoint occupancy bitsets span four
+/// 64-bit words) whose delivery log sits between the mesh and the
+/// workload: it records every delivered packet, then forwards it.
+struct WideHarness final : noc::PacketDeliveryListener {
+  struct Delivered {
+    noc::PacketId packet;
+    noc::Cycle created;  ///< the cycle the workload injected it
+    NodeId src;
+    std::int32_t flits;
+  };
+
+  static constexpr std::int32_t kSide = 16;
+  traffic::Simulation sim;
+  RequestReplyWorkload* wl = nullptr;
+  std::vector<Delivered> log;
+
+  WideHarness(std::vector<TraceRecord> records, const RequestReplyConfig& cfg,
+              std::vector<NodeId> servers)
+      : sim(noc::MeshConfig{MeshShape::square(kSide)}) {
+    auto gen = std::make_unique<RequestReplyWorkload>(
+        MeshShape::square(kSide), std::make_unique<VectorTraceSource>(std::move(records)),
+        std::move(servers), cfg);
+    wl = gen.get();
+    sim.add_generator(std::move(gen));
+    // The workload registers itself on its first tick; nothing can be
+    // delivered in the cycle a packet is injected, so interposing after
+    // that tick loses no delivery.
+    sim.step();
+    EXPECT_EQ(wl->stats().requests_delivered, 0);
+    sim.mesh().set_delivery_listener(this);
+  }
+  ~WideHarness() override { sim.mesh().set_delivery_listener(nullptr); }
+  WideHarness(const WideHarness&) = delete;
+  WideHarness& operator=(const WideHarness&) = delete;
+
+  void on_packet_delivered(const noc::Flit& tail, noc::Cycle now) override {
+    log.push_back({tail.packet, tail.created, tail.src, tail.seq + 1});
+    wl->on_packet_delivered(tail, now);
+  }
+
+  /// Logged packets of one size, in injection (packet id) order.
+  [[nodiscard]] std::vector<Delivered> sized(std::int32_t flits) const {
+    std::vector<Delivered> out;
+    for (const Delivered& d : log) {
+      if (d.flits == flits) out.push_back(d);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Delivered& a, const Delivered& b) { return a.packet < b.packet; });
+    return out;
+  }
+};
+
+/// Clients on both sides of every 64-node word boundary, each paired with a
+/// one-hop neighbour as its server (no server is a corner tile, and the
+/// servers fall into all four words).
+constexpr std::array<NodeId, 6> kWideClients{0, 63, 64, 127, 128, 255};
+constexpr std::array<NodeId, 6> kWideServers{1, 62, 65, 126, 129, 254};
+
+TEST(Endpoints, SweepsInjectInAscendingNodeOrderAcrossBitsetWords) {
+  // Every record is due at cycle 0 and listed in descending node order, so
+  // only the sweeps' own order can make the injection order ascending.
+  // Each client presents a REQ (1 flit) to its server and a replayed REPLY
+  // record (2 flits) to its vertical neighbour.
+  std::vector<TraceRecord> records;
+  for (std::size_t i = kWideClients.size(); i-- > 0;) {
+    const NodeId c = kWideClients[i];
+    const NodeId up = c < WideHarness::kSide ? c + WideHarness::kSide : c - WideHarness::kSide;
+    records.push_back({0, c, kWideServers[i], TraceKind::Request, 1});
+    records.push_back({0, c, up, TraceKind::Reply, 2});
+  }
+  RequestReplyConfig cfg;
+  cfg.open_loop = true;
+  cfg.reply_flits = 5;
+  WideHarness h(std::move(records), cfg, {kWideServers.begin(), kWideServers.end()});
+  for (int i = 0; i < 500 && h.wl->stats().replies_completed < 6; ++i) h.sim.step();
+  ASSERT_EQ(h.wl->stats().replies_completed, 6);
+  for (const NodeId c : kWideClients) EXPECT_EQ(h.wl->outstanding(c), 0) << "client " << c;
+
+  // issue_requests: all at cycle 0, packet ids rise with src, and each
+  // node's REQ precedes its REPLY record.
+  std::vector<WideHarness::Delivered> issued = h.sized(1);
+  const std::vector<WideHarness::Delivered> replayed = h.sized(2);
+  issued.insert(issued.end(), replayed.begin(), replayed.end());
+  std::sort(issued.begin(), issued.end(),
+            [](const auto& a, const auto& b) { return a.packet < b.packet; });
+  ASSERT_EQ(issued.size(), 12U);
+  for (std::size_t i = 0; i < issued.size(); ++i) {
+    EXPECT_EQ(issued[i].created, 0) << "injection " << i;
+    EXPECT_EQ(issued[i].src, kWideClients[i / 2]) << "injection " << i;
+    EXPECT_EQ(issued[i].flits, i % 2 == 0 ? 1 : 2) << "injection " << i;
+  }
+
+  // serve_replies: all six replies fall due in one cycle (every request
+  // crosses one uncontended hop), and one sweep injects them in ascending
+  // server order across all four words.
+  const std::vector<WideHarness::Delivered> served = h.sized(5);
+  ASSERT_EQ(served.size(), 6U);
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].created, served[0].created) << "reply " << i;
+    EXPECT_EQ(served[i].src, kWideServers[i]) << "reply " << i;
+  }
+}
+
+TEST(Endpoints, FencedServerDrainsAndLaterSweepsServeEveryOtherServer) {
+  // Three requests per client at cycle 0 and one more at cycle 600; the
+  // long service latency leaves delivered requests queued at the servers.
+  std::vector<TraceRecord> records;
+  for (const noc::Cycle cycle : {noc::Cycle{0}, noc::Cycle{600}}) {
+    for (std::size_t i = 0; i < kWideClients.size(); ++i) {
+      const int copies = cycle == 0 ? 3 : 1;
+      for (int k = 0; k < copies; ++k) {
+        records.push_back({cycle, kWideClients[i], kWideServers[i], TraceKind::Request, 1});
+      }
+    }
+  }
+  RequestReplyConfig cfg;
+  cfg.open_loop = true;
+  cfg.service_latency = 200;
+  WideHarness h(std::move(records), cfg, {kWideServers.begin(), kWideServers.end()});
+  for (int i = 0; i < 150 && h.wl->stats().requests_delivered < 18; ++i) h.sim.step();
+  ASSERT_EQ(h.wl->stats().requests_delivered, 18);
+  ASSERT_EQ(h.wl->stats().replies_issued, 0);
+
+  // Fence server 65 (word 1) while it holds three queued replies.
+  constexpr NodeId kFenced = 65;
+  constexpr NodeId kStranded = 64;  // its client
+  ASSERT_EQ(h.wl->pending_replies(kFenced), 3U);
+  h.sim.mesh().set_quarantined(kFenced, true);
+  h.sim.run(500);  // past every reply's ready cycle, before the cycle-600 records
+  EXPECT_EQ(h.wl->pending_replies(kFenced), 0U);
+  EXPECT_EQ(h.wl->stats().replies_dropped, 3);
+  EXPECT_EQ(h.wl->stats().replies_completed, 15);
+  EXPECT_EQ(h.wl->outstanding(kStranded), 3);
+
+  // The drained server's bit is clear again; the cycle-600 round must
+  // still reach every server, the fenced one included (its new reply is
+  // dropped, the others complete).
+  for (int i = 0; i < 1500 && h.wl->stats().replies_completed < 20; ++i) h.sim.step();
+  EXPECT_EQ(h.wl->stats().requests_delivered, 24);
+  EXPECT_EQ(h.wl->stats().replies_completed, 20);
+  EXPECT_EQ(h.wl->stats().replies_dropped, 4);
+  for (std::size_t i = 0; i < kWideServers.size(); ++i) {
+    EXPECT_EQ(h.wl->pending_replies(kWideServers[i]), 0U) << "server " << kWideServers[i];
+    EXPECT_EQ(h.wl->outstanding(kWideClients[i]), kWideClients[i] == kStranded ? 4 : 0)
+        << "client " << kWideClients[i];
+  }
 }
 
 /// Stats comparison helper for the determinism checks.
