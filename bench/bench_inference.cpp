@@ -135,11 +135,16 @@ int main(int argc, char** argv) {
 
   // Deterministically initialized weights: throughput does not care about
   // model quality, parity checks care about determinism.
-  core::Dl2Fence fence(cfg);
+  core::PipelineEngine engine(cfg);
   Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  const core::PipelineEngine& engine = fence.engine();
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
+  // The per-sample reference forward (mutable: it caches activations for
+  // backward), the path the parity gate and arm 1 run.
+  core::DoSDetector& reference = engine.mutable_detector();
+  const auto reference_probability = [&](const monitor::FrameSample& w) {
+    return reference.model().forward(reference.preprocess(w)).data()[0];
+  };
 
   const monitor::FrameGeometry geom(mesh);
   Rng data_rng(0x5eed);
@@ -156,12 +161,12 @@ int main(int argc, char** argv) {
             << ", " << flops_per_window << " FLOP/window\n\n";
 
   // Parity gate: the batched const path must be bitwise-identical to the
-  // legacy per-window training-forward path.
+  // per-sample reference forward.
   {
     core::PipelineSession session(engine);
     const std::vector<float> batched = session.detect_batch(batch);
     for (std::size_t i = 0; i < windows.size(); ++i) {
-      const float legacy = fence.detector().predict_probability(windows[i]);
+      const float legacy = reference_probability(windows[i]);
       if (std::memcmp(&legacy, &batched[i], sizeof(float)) != 0) {
         std::cerr << "PARITY FAILURE at window " << i << ": legacy " << legacy << " vs batched "
                   << batched[i] << "\n";
@@ -176,7 +181,7 @@ int main(int argc, char** argv) {
 
   // Arm 1: the seed's per-window cost (mutable forward, allocates per layer).
   const double single_wps = throughput(num_windows, repeats, [&] {
-    for (const auto& w : windows) checksum += fence.detector().predict_probability(w);
+    for (const auto& w : windows) checksum += reference_probability(w);
   });
 
   // Arm 2: session batch sizes 1 / 8 / 32.

@@ -65,43 +65,47 @@ monitor::FrameSample idle_sample(const MeshShape& mesh) {
   return s;
 }
 
+/// A paper-default engine for `mesh` with deterministically initialized
+/// weights (throughput does not depend on model quality).
+core::PipelineEngine random_engine(const MeshShape& mesh) {
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
+  Rng rng(3);
+  engine.mutable_detector().model().init_weights(rng);
+  engine.mutable_localizer().model().init_weights(rng);
+  return engine;
+}
+
 void BM_DetectorInference(benchmark::State& state) {
   const auto mesh = MeshShape::square(static_cast<std::int32_t>(state.range(0)));
-  core::DetectorConfig cfg;
-  cfg.mesh = mesh;
-  core::DoSDetector det(cfg);
-  Rng rng(3);
-  det.model().init_weights(rng);
+  const core::PipelineEngine engine = random_engine(mesh);
+  core::PipelineSession session(engine, 1);
   const auto s = idle_sample(mesh);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(det.predict_probability(s));
+    benchmark::DoNotOptimize(session.detect_batch({&s, 1}));
   }
 }
 BENCHMARK(BM_DetectorInference)->Arg(8)->Arg(16);
 
 void BM_LocalizerSegmentFrame(benchmark::State& state) {
   const auto mesh = MeshShape::square(static_cast<std::int32_t>(state.range(0)));
-  core::LocalizerConfig cfg;
-  cfg.mesh = mesh;
-  core::DoSLocalizer loc(cfg);
-  Rng rng(3);
-  loc.model().init_weights(rng);
+  const core::PipelineEngine engine = random_engine(mesh);
+  const core::DoSLocalizer& loc = engine.localizer();
+  nn::InferenceContext ctx;
+  ctx.bind(loc.model(), loc.input_shape(), 1);
   const Frame f(mesh.rows(), mesh.cols() - 1, 100.0F);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(loc.segment(f));
+    loc.preprocess_into(f, ctx.input(1), 0);
+    benchmark::DoNotOptimize(loc.model().infer_batch(ctx).sample(0));
   }
 }
 BENCHMARK(BM_LocalizerSegmentFrame)->Arg(8)->Arg(16);
 
 void BM_FullLocalizationRound(benchmark::State& state) {
-  const auto mesh = MeshShape::square(16);
-  core::Dl2Fence fw(core::Dl2FenceConfig::paper_default(mesh));
-  Rng rng(3);
-  fw.detector().model().init_weights(rng);
-  fw.localizer().model().init_weights(rng);
-  const auto s = idle_sample(mesh);
+  const core::PipelineEngine engine = random_engine(MeshShape::square(16));
+  core::PipelineSession session(engine);
+  const auto s = idle_sample(engine.geometry().mesh());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fw.localize(s));
+    benchmark::DoNotOptimize(session.localize(s));
   }
 }
 BENCHMARK(BM_FullLocalizationRound);

@@ -36,20 +36,21 @@ int main() {
   const auto split = monitor::split_dataset(data, preset.test_fraction, 0x7B);
 
   // DL2Fence: CNN detector (VCO) + CNN segmenter (BOC) + MFF/TLM.
-  core::Dl2Fence framework(core::Dl2FenceConfig::paper_default(mesh));
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
   core::TrainConfig det_cfg;
   det_cfg.epochs = preset.detector_epochs;
-  core::train_detector(framework.detector(), split.train, det_cfg);
+  core::train_detector(engine.mutable_detector(), split.train, det_cfg);
   core::LocalizerTrainConfig loc_cfg;
   loc_cfg.epochs = preset.localizer_epochs;
-  core::train_localizer(framework.localizer(), split.train, loc_cfg);
+  core::train_localizer(engine.mutable_localizer(), split.train, loc_cfg);
 
   const auto cnn_detection =
-      core::detection_metrics(core::evaluate_detector(framework.detector(), split.test));
+      core::detection_metrics(core::evaluate_detector(engine.detector(), split.test));
   core::LocalizationScore loc_score;
+  core::PipelineSession session(engine);
   for (const auto& s : split.test.samples) {
     if (!s.under_attack) continue;
-    loc_score.add(framework.localize(s).victims, s.victim_truth);
+    loc_score.add(session.localize(s).victims, s.victim_truth);
   }
   const auto cnn_localization = loc_score.metrics();
 

@@ -8,10 +8,10 @@
 //     reduction promises bitwise-identical weights at any thread count;
 //     the process exits 1 the moment that contract breaks.
 //
-//  2. Throughput: score the dataset's sequences through the pipeline's
-//     sequence entry point (PipelineSession::process_sequence semantics,
-//     detector-only) and report sequences/second plus the training-set
-//     confusion summary — the quick health signal that the adversarial
+//  2. Throughput: score the dataset's sequences through
+//     temporal::evaluate_temporal_detector (the batched evaluator, chunks
+//     of nn::kInferChunk sequences) and report sequences/second plus the
+//     training-set confusion summary — the quick health signal that the adversarial
 //     retraining actually separates the classes.
 //
 // Output: stdout summary + machine-readable BENCH_temporal.json.
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
               << " (byte-identical: yes)\n";
   }
 
-  // Throughput + training-set separation through the reference scorer,
+  // Throughput + training-set separation through the batched evaluator,
   // using the gate's 1-thread weights.
   std::istringstream trained(reference);
   if (!detector.model().load(trained)) {

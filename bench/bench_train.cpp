@@ -1,22 +1,16 @@
-// Training throughput: the GEMM-lowered batched training path measured
-// against the retained pre-PR per-sample reference path, plus the
-// byte-identical-weights determinism gate across worker counts.
+// Training throughput of the GEMM-lowered batched trainer at 1/2/4 worker
+// threads, plus the byte-identical-weights determinism gate across worker
+// counts.
 //
-// Arms, all training the same detector + localizer pair on the same
-// dataset from the same seeds (best-of-`repeats` wall time each):
-//   * reference — train_detector_reference / train_localizer_reference,
-//     the seed's per-sample mutable forward/backward trainer (what every
-//     training run cost before this backend existed);
-//   * batched x {1, 2, 4} threads — nn::batch_train through the im2col+
-//     GEMM forward_batch/backward_batch with sliced, fixed-order gradient
-//     reduction.
+// Every arm trains the same detector + localizer pair on the same dataset
+// from the same seeds (best-of-`repeats` wall time each) through
+// nn::batch_train: im2col+GEMM forward_batch/backward_batch with sliced,
+// fixed-order gradient reduction.
 //
-// The determinism gate serializes the trained weights of every batched
-// arm and exits non-zero unless all thread counts produced byte-identical
+// The determinism gate serializes the trained weights of every arm and
+// exits non-zero unless all thread counts produced byte-identical
 // detector AND localizer weights — the same guarantee run_campaign makes
-// for scoring. (Reference and batched weights legitimately differ: the
-// sliced reduction associates gradient sums differently; both are valid
-// trainings of the same math.)
+// for scoring.
 //
 // Output: human-readable table on stdout plus machine-readable
 // BENCH_train.json in the working directory. Pass --quick for the CI
@@ -116,16 +110,7 @@ int main(int argc, char** argv) {
             << " epochs, best of " << repeats << " repeats" << (quick ? " (quick)" : "")
             << "\n\n";
 
-  // Arm 1: the pre-PR per-sample reference trainer.
-  const double reference_s = best_seconds(repeats, [&] {
-    core::DoSDetector det(det_arch);
-    core::DoSLocalizer loc(loc_arch);
-    (void)core::train_detector_reference(det, data, det_cfg);
-    (void)core::train_localizer_reference(loc, data, loc_cfg);
-  });
-  std::cout << "  reference (per-sample): " << reference_s << " s\n";
-
-  // Arm 2: the batched path at 1/2/4 workers, weights captured per arm.
+  // The batched trainer at 1/2/4 workers, weights captured per arm.
   const std::vector<std::int32_t> thread_counts{1, 2, 4};
   std::vector<double> batched_s;
   std::vector<TrainedBlobs> blobs;
@@ -145,8 +130,7 @@ int main(int argc, char** argv) {
       blob.localizer = los.str();
     }));
     blobs.push_back(std::move(blob));
-    std::cout << "  batched, " << threads << " thread(s): " << batched_s.back() << " s ("
-              << reference_s / batched_s.back() << "x reference)\n";
+    std::cout << "  batched, " << threads << " thread(s): " << batched_s.back() << " s\n";
   }
 
   // Determinism gate: byte-identical weights at every thread count.
@@ -162,12 +146,10 @@ int main(int argc, char** argv) {
     std::cout << "\ndeterminism: trained weights byte-identical at 1/2/4 threads\n";
   }
 
-  double best_speedup = 0.0;
-  for (const double s : batched_s) best_speedup = std::max(best_speedup, reference_s / s);
-
   const auto item_steps =
       static_cast<double>(data.samples.size()) * det_cfg.epochs +
       static_cast<double>(4 * data.samples.size()) * loc_cfg.epochs;
+  const double items_per_sec = item_steps / batched_s.front();
 
   // Achieved training GFLOP/s on the 1-thread batched arm (~3x forward
   // per item-step; see forward_flops).
@@ -197,24 +179,17 @@ int main(int argc, char** argv) {
        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"gemm_backend\": \"" << backend << "\",\n"
        << "  \"train_gflops_1thread\": " << train_gflops << ",\n"
-       << "  \"reference_s\": " << reference_s << ",\n"
        << "  \"batched_s\": {";
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     json << (i == 0 ? "" : ", ") << "\"" << thread_counts[i] << "\": " << batched_s[i];
   }
-  json << "},\n  \"speedup_vs_reference\": {";
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << thread_counts[i]
-         << "\": " << reference_s / batched_s[i];
-  }
   json << "},\n"
-       << "  \"best_speedup\": " << best_speedup << ",\n"
-       << "  \"train_items_per_sec\": " << item_steps / batched_s.front() << ",\n"
+       << "  \"train_items_per_sec\": " << items_per_sec << ",\n"
        << "  \"deterministic_across_threads\": " << (deterministic ? "true" : "false") << "\n"
        << "}\n";
 
   std::ofstream out("BENCH_train.json");
   out << json.str();
-  std::cout << "wrote BENCH_train.json (best_speedup = " << best_speedup << ")\n";
+  std::cout << "wrote BENCH_train.json (train_items_per_sec = " << items_per_sec << ")\n";
   return deterministic ? 0 : 1;
 }

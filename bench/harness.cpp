@@ -55,20 +55,20 @@ GroupResult run_group(const MeshShape& mesh,
     cfg.detector.feature = det_feature;
     cfg.localizer.feature = loc_feature;
     cfg.enable_vce = enable_vce;
-    core::Dl2Fence framework(cfg);
+    core::PipelineEngine engine(cfg);
 
     core::TrainConfig det_cfg;
     det_cfg.epochs = preset.detector_epochs;
     det_cfg.seed = seed + 21;
-    core::train_detector(framework.detector(), split.train, det_cfg);
+    core::train_detector(engine.mutable_detector(), split.train, det_cfg);
 
     core::LocalizerTrainConfig loc_cfg;
     loc_cfg.epochs = preset.localizer_epochs;
     loc_cfg.seed = seed + 22;
-    core::train_localizer(framework.localizer(), split.train, loc_cfg);
+    core::train_localizer(engine.mutable_localizer(), split.train, loc_cfg);
 
     // Score the held-out windows through the batched engine path.
-    result.scores.push_back(core::score_benchmark(framework.engine(), bench.name(), split.test));
+    result.scores.push_back(core::score_benchmark(engine, bench.name(), split.test));
     result.train_windows += split.train.samples.size();
     result.test_windows += split.test.samples.size();
   }

@@ -32,22 +32,22 @@ int main() {
 
   // 2. Train the two CNNs (detector on VCO, localizer on BOC — Table 3's
   //    chosen combination).
-  core::Dl2Fence framework(core::Dl2FenceConfig::paper_default(mesh));
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
   std::cout << "Training detector (CNN classifier on VCO frames)...\n";
   core::TrainConfig det_cfg;
   det_cfg.epochs = 25;
-  const auto det_report = core::train_detector(framework.detector(), split.train, det_cfg);
+  const auto det_report = core::train_detector(engine.mutable_detector(), split.train, det_cfg);
   std::cout << "  final BCE loss " << det_report.final_loss << "\n";
 
   std::cout << "Training localizer (CNN segmentation on BOC frames)...\n";
   core::LocalizerTrainConfig loc_cfg;
   loc_cfg.epochs = 25;
-  const auto loc_report = core::train_localizer(framework.localizer(), split.train, loc_cfg);
+  const auto loc_report = core::train_localizer(engine.mutable_localizer(), split.train, loc_cfg);
   std::cout << "  final loss " << loc_report.final_loss << ", train dice "
             << loc_report.final_dice << "\n";
 
   // 3. Score on held-out windows — batched through the shared engine.
-  const auto score = core::score_benchmark(framework.engine(), "Uniform Random", split.test);
+  const auto score = core::score_benchmark(engine, "Uniform Random", split.test);
   std::cout << "\nHeld-out results (Uniform Random):\n"
             << "  detection   acc " << score.detection.accuracy << "  prec "
             << score.detection.precision << "  rec " << score.detection.recall << "\n"
@@ -56,7 +56,7 @@ int main() {
 
   // 4. Walk one attack window through the full pipeline via a deployment
   //    session (the trained engine is immutable and thread-shareable).
-  core::PipelineSession session(framework.engine());
+  core::PipelineSession session(engine);
   for (const auto& sample : split.test.samples) {
     if (!sample.under_attack) continue;
     const core::RoundResult round = session.process(sample);

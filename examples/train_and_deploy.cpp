@@ -32,17 +32,17 @@ int main() {
     const auto data = monitor::generate_dataset(
         cfg, {monitor::Benchmark{traffic::SyntheticPattern::UniformRandom}});
 
-    core::Dl2Fence trainer(core::Dl2FenceConfig::paper_default(mesh));
+    core::PipelineEngine trainer(core::Dl2FenceConfig::paper_default(mesh));
     core::TrainConfig det_cfg;
     det_cfg.epochs = 60;
     std::cout << "[offline] training detector ("
               << trainer.detector().model().param_count() << " weights)...\n";
-    core::train_detector(trainer.detector(), data, det_cfg);
+    core::train_detector(trainer.mutable_detector(), data, det_cfg);
     core::LocalizerTrainConfig loc_cfg;
     loc_cfg.epochs = 30;
     std::cout << "[offline] training localizer ("
               << trainer.localizer().model().param_count() << " weights)...\n";
-    core::train_localizer(trainer.localizer(), data, loc_cfg);
+    core::train_localizer(trainer.mutable_localizer(), data, loc_cfg);
 
     if (!trainer.detector().model().save_file(det_path) ||
         !trainer.localizer().model().save_file(loc_path)) {

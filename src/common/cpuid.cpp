@@ -19,11 +19,11 @@ SimdLevel detect() noexcept {
 #endif
 }
 
-/// Environment clamp, read once at first dispatch. The env vars exist so
-/// CI (and any operator) can pin the scalar golden path on an identical
-/// binary: DL2F_FORCE_SCALAR=1 wins, else DL2F_GEMM_BACKEND names a tier.
-/// A DL2F_GEMM_BACKEND value that names no tier ends the process: a
-/// misspelt pin would otherwise silently benchmark the wrong tier.
+/// Environment clamp, read once at first dispatch. DL2F_GEMM_BACKEND
+/// exists so CI (and any operator) can pin a tier — scalar, the golden
+/// path — on an identical binary. A value that names no tier ends the
+/// process: a misspelt pin would otherwise silently benchmark the wrong
+/// tier.
 SimdLevel env_ceiling() noexcept {
   // One-time read of a deployment-level kernel-tier override; every tier
   // is bitwise-identical, so this cannot make any result environment-
@@ -37,10 +37,6 @@ SimdLevel env_ceiling() noexcept {
       std::fprintf(stderr, "DL2F_GEMM_BACKEND='%s' names no GEMM tier (scalar|avx2)\n", be);
       std::_Exit(EXIT_FAILURE);
     }
-  }
-  // lint-allow(DL001): same one-time override read as above.
-  if (const char* fs = std::getenv("DL2F_FORCE_SCALAR"); fs != nullptr && fs[0] == '1') {
-    return SimdLevel::Scalar;
   }
   return requested;
 }

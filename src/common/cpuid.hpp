@@ -9,8 +9,7 @@
 // bit. The level is resolved once, on first query, from
 //
 //   min( what the CPU supports,
-//        what the DL2F_FORCE_SCALAR / DL2F_GEMM_BACKEND environment
-//        requests,
+//        what the DL2F_GEMM_BACKEND environment variable requests,
 //        what force_simd_level() was last told )
 //
 // and cached; benches report it (the `gemm_backend` JSON key) so every
@@ -34,10 +33,10 @@ enum class SimdLevel : std::uint8_t {
 [[nodiscard]] SimdLevel detected_simd_level() noexcept;
 
 /// The level the kernel dispatch actually uses: detected, clamped by the
-/// environment (DL2F_FORCE_SCALAR=1 pins Scalar; DL2F_GEMM_BACKEND=
-/// scalar|avx2 requests a tier, and any other value exits the process
-/// with a message on stderr) and by force_simd_level(). Resolved once
-/// and cached — cheap enough for per-call reads.
+/// environment (DL2F_GEMM_BACKEND=scalar|avx2 requests a tier; any
+/// other value exits the process with a message on stderr) and by
+/// force_simd_level(). Resolved once and cached — cheap enough for
+/// per-call reads.
 [[nodiscard]] SimdLevel active_simd_level() noexcept;
 
 /// Programmatic override (bench --gemm-backend, parity tests): request a

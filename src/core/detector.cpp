@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <iostream>
-#include <numeric>
 
+#include "nn/loss.hpp"
 #include "nn/train.hpp"
 
 namespace dl2f::core {
@@ -61,14 +61,6 @@ void DoSDetector::preprocess_into(const monitor::FrameSample& sample, nn::Tensor
   }
 }
 
-float DoSDetector::predict_probability(const monitor::FrameSample& sample) {
-  return model_.forward(preprocess(sample)).data()[0];
-}
-
-bool DoSDetector::predict(const monitor::FrameSample& sample) {
-  return predict_probability(sample) > cfg_.threshold;
-}
-
 TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                            const TrainConfig& cfg) {
   Rng rng(cfg.seed);
@@ -99,47 +91,16 @@ TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
   return report;
 }
 
-TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
-                                     const TrainConfig& cfg) {
-  Rng rng(cfg.seed);
-  detector.model().init_weights(rng);
-  nn::Adam optimizer(detector.model().params(), cfg.learning_rate);
-
-  std::vector<std::size_t> order(data.samples.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  TrainReport report;
-  for (std::int32_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    std::shuffle(order.begin(), order.end(), rng.engine());
-    float epoch_loss = 0.0F;
-    std::int32_t in_batch = 0;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const auto& sample = data.samples[order[i]];
-      const nn::Tensor3 out = detector.model().forward(detector.preprocess(sample));
-      nn::Tensor3 target(1, 1, 1);
-      target.data()[0] = sample.under_attack ? 1.0F : 0.0F;
-      const auto loss = nn::bce_loss(out, target);
-      epoch_loss += loss.loss;
-      detector.model().backward(loss.grad);
-      if (++in_batch == cfg.batch_size || i + 1 == order.size()) {
-        optimizer.step();
-        in_batch = 0;
-      }
-    }
-    report.final_loss = epoch_loss / static_cast<float>(std::max<std::size_t>(order.size(), 1));
-    ++report.epochs_run;
-    if (cfg.verbose) {
-      std::cout << "detector epoch " << epoch << " loss " << report.final_loss << '\n';
-    }
-  }
-  return report;
-}
-
-ConfusionMatrix evaluate_detector(DoSDetector& detector, const monitor::Dataset& data) {
+ConfusionMatrix evaluate_detector(const DoSDetector& detector, const monitor::Dataset& data) {
   ConfusionMatrix cm;
-  for (const auto& sample : data.samples) {
-    cm.add(detector.predict(sample), sample.under_attack);
-  }
+  const float threshold = detector.config().threshold;
+  const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
+    detector.preprocess_into(data.samples[item], input, slot);
+  };
+  const auto read = [&](std::size_t item, const float* out, std::size_t /*n*/) {
+    cm.add(out[0] > threshold, data.samples[item].under_attack);
+  };
+  nn::infer_items(detector.model(), detector.input_shape(), data.samples.size(), stage, read);
   return cm;
 }
 

@@ -15,7 +15,6 @@
 #include "core/feature.hpp"
 #include "monitor/dataset.hpp"
 #include "nn/layers.hpp"
-#include "nn/loss.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 
@@ -52,11 +51,6 @@ class DoSDetector {
                        cfg_.mesh.cols() - 1);
   }
 
-  /// Training-path prediction (mutable forward). The inference path goes
-  /// through core::PipelineSession instead.
-  [[nodiscard]] float predict_probability(const monitor::FrameSample& sample);
-  [[nodiscard]] bool predict(const monitor::FrameSample& sample);
-
   [[nodiscard]] nn::Sequential& model() noexcept { return model_; }
   [[nodiscard]] const nn::Sequential& model() const noexcept { return model_; }
 
@@ -89,14 +83,10 @@ struct TrainReport {
 TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                            const TrainConfig& cfg);
 
-/// The pre-batching per-sample trainer (mutable forward/backward, one
-/// sample at a time), retained as the golden reference the batched path
-/// is benchmarked against (bench_train) — cfg.threads is ignored.
-TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
-                                     const TrainConfig& cfg);
-
-/// Per-sample detection confusion matrix over a dataset.
-[[nodiscard]] ConfusionMatrix evaluate_detector(DoSDetector& detector,
+/// Detection confusion matrix over a dataset (batched scoring through
+/// nn::infer_items; a window is flagged when its probability exceeds
+/// DetectorConfig::threshold).
+[[nodiscard]] ConfusionMatrix evaluate_detector(const DoSDetector& detector,
                                                 const monitor::Dataset& data);
 
 }  // namespace dl2f::core

@@ -73,11 +73,6 @@ BenchmarkScore score_benchmark(const PipelineEngine& engine, const std::string& 
   return score;
 }
 
-BenchmarkScore score_benchmark(Dl2Fence& framework, const std::string& name,
-                               const monitor::Dataset& test) {
-  return score_benchmark(framework.engine(), name, test);
-}
-
 BenchmarkScore average_scores(const std::vector<BenchmarkScore>& scores,
                               const std::string& label) {
   BenchmarkScore avg;

@@ -56,10 +56,6 @@ struct BenchmarkScore {
                                              const std::string& name,
                                              const monitor::Dataset& test);
 
-/// Deprecated shim overload; forwards to the engine version.
-[[nodiscard]] BenchmarkScore score_benchmark(Dl2Fence& framework, const std::string& name,
-                                             const monitor::Dataset& test);
-
 /// Unweighted average across benchmark columns (the tables' Average column).
 [[nodiscard]] BenchmarkScore average_scores(const std::vector<BenchmarkScore>& scores,
                                             const std::string& label);

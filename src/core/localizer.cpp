@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <iostream>
-#include <numeric>
 
+#include "nn/loss.hpp"
 #include "nn/train.hpp"
 
 namespace dl2f::core {
@@ -50,23 +50,6 @@ void DoSLocalizer::preprocess_into(const Frame& frame, nn::Tensor4& batch,
   }
 }
 
-Frame DoSLocalizer::segment(const Frame& frame) {
-  return model_.forward(preprocess(frame)).to_frame();
-}
-
-Frame DoSLocalizer::segment_binary(const Frame& frame) {
-  return segment(frame).binarized(cfg_.threshold);
-}
-
-monitor::DirectionalFrames DoSLocalizer::segment_all(const monitor::FrameSample& sample) {
-  const auto& frames = cfg_.feature == Feature::Vco ? sample.vco : sample.boc;
-  monitor::DirectionalFrames out;
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(out, d) = segment_binary(monitor::frame_of(frames, d));
-  }
-  return out;
-}
-
 namespace {
 
 /// One localizer training item per (sample, direction) pair.
@@ -75,11 +58,14 @@ struct LocalizerItem {
   const Frame* mask;
 };
 
+/// Every sample's four directional frames in sample-major order, or only
+/// the attack samples' when `attack_only` is set.
 std::vector<LocalizerItem> localizer_items(const DoSLocalizer& localizer,
-                                           const monitor::Dataset& data) {
+                                           const monitor::Dataset& data, bool attack_only) {
   std::vector<LocalizerItem> items;
   const auto feature = localizer.config().feature;
   for (const auto& s : data.samples) {
+    if (attack_only && !s.under_attack) continue;
     const auto& frames = feature == Feature::Vco ? s.vco : s.boc;
     for (Direction d : kMeshDirections) {
       items.push_back(
@@ -96,7 +82,8 @@ LocalizerTrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dat
   Rng rng(cfg.seed);
   localizer.model().init_weights(rng);
   nn::Adam optimizer(localizer.model().params(), cfg.learning_rate);
-  const std::vector<LocalizerItem> items = localizer_items(localizer, data);
+  const std::vector<LocalizerItem> items =
+      localizer_items(localizer, data, /*attack_only=*/false);
 
   nn::BatchTrainConfig bt;
   bt.epochs = cfg.epochs;
@@ -130,67 +117,19 @@ LocalizerTrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dat
   return report;
 }
 
-LocalizerTrainReport train_localizer_reference(DoSLocalizer& localizer,
-                                               const monitor::Dataset& data,
-                                               const LocalizerTrainConfig& cfg) {
-  Rng rng(cfg.seed);
-  localizer.model().init_weights(rng);
-  nn::Adam optimizer(localizer.model().params(), cfg.learning_rate);
-  const std::vector<LocalizerItem> items = localizer_items(localizer, data);
-
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  LocalizerTrainReport report;
-  for (std::int32_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    std::shuffle(order.begin(), order.end(), rng.engine());
-    float epoch_loss = 0.0F;
-    double epoch_dice = 0.0;
-    std::int32_t in_batch = 0;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const LocalizerItem& item = items[order[i]];
-      const nn::Tensor3 out = localizer.model().forward(localizer.preprocess(*item.input));
-      const nn::Tensor3 target = nn::Tensor3::from_frame(*item.mask);
-      auto bce = nn::bce_loss(out, target, cfg.positive_weight);
-      const auto dice = nn::dice_loss(out, target);
-      epoch_loss += bce.loss + cfg.dice_weight * dice.loss;
-      epoch_dice += nn::dice_score(out, target);
-      for (std::size_t j = 0; j < bce.grad.size(); ++j) {
-        bce.grad.data()[j] += cfg.dice_weight * dice.grad.data()[j];
-      }
-      localizer.model().backward(bce.grad);
-      if (++in_batch == cfg.batch_size || i + 1 == order.size()) {
-        optimizer.step();
-        in_batch = 0;
-      }
-    }
-    const auto n = static_cast<float>(std::max<std::size_t>(order.size(), 1));
-    report.final_loss = epoch_loss / n;
-    report.final_dice = epoch_dice / n;
-    ++report.epochs_run;
-    if (cfg.verbose) {
-      std::cout << "localizer epoch " << epoch << " loss " << report.final_loss << " dice "
-                << report.final_dice << '\n';
-    }
-  }
-  return report;
-}
-
-double evaluate_localizer_dice(DoSLocalizer& localizer, const monitor::Dataset& data) {
-  const auto feature = localizer.config().feature;
+double evaluate_localizer_dice(const DoSLocalizer& localizer, const monitor::Dataset& data) {
+  const std::vector<LocalizerItem> items =
+      localizer_items(localizer, data, /*attack_only=*/true);
+  const float threshold = localizer.config().threshold;
   double total = 0.0;
-  std::int64_t count = 0;
-  for (const auto& s : data.samples) {
-    if (!s.under_attack) continue;
-    const auto& frames = feature == Feature::Vco ? s.vco : s.boc;
-    for (Direction d : kMeshDirections) {
-      const Frame seg = localizer.segment_binary(monitor::frame_of(frames, d));
-      const auto target = nn::Tensor3::from_frame(monitor::frame_of(s.port_truth, d));
-      total += nn::dice_score(nn::Tensor3::from_frame(seg), target);
-      ++count;
-    }
-  }
-  return count == 0 ? 1.0 : total / static_cast<double>(count);
+  const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
+    localizer.preprocess_into(*items[item].input, input, slot);
+  };
+  const auto read = [&](std::size_t item, const float* out, std::size_t n) {
+    total += nn::dice_score_raw(out, items[item].mask->data().data(), n, threshold);
+  };
+  nn::infer_items(localizer.model(), localizer.input_shape(), items.size(), stage, read);
+  return items.empty() ? 1.0 : total / static_cast<double>(items.size());
 }
 
 }  // namespace dl2f::core

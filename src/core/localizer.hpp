@@ -14,7 +14,6 @@
 #include "core/feature.hpp"
 #include "monitor/dataset.hpp"
 #include "nn/layers.hpp"
-#include "nn/loss.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 
@@ -53,13 +52,6 @@ class DoSLocalizer {
     return nn::Tensor3(1, cfg_.mesh.rows(), cfg_.mesh.cols() - 1);
   }
 
-  /// Soft segmentation (sigmoid map) of one directional frame.
-  [[nodiscard]] Frame segment(const Frame& frame);
-  /// Binarized segmentation of one directional frame.
-  [[nodiscard]] Frame segment_binary(const Frame& frame);
-  /// Segment all four directional frames of a sample's configured feature.
-  [[nodiscard]] monitor::DirectionalFrames segment_all(const monitor::FrameSample& sample);
-
   [[nodiscard]] nn::Sequential& model() noexcept { return model_; }
   [[nodiscard]] const nn::Sequential& model() const noexcept { return model_; }
 
@@ -95,15 +87,10 @@ struct LocalizerTrainReport {
 LocalizerTrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dataset& data,
                                      const LocalizerTrainConfig& cfg);
 
-/// The pre-batching per-sample trainer, retained as the golden reference
-/// for bench_train — cfg.threads is ignored.
-LocalizerTrainReport train_localizer_reference(DoSLocalizer& localizer,
-                                               const monitor::Dataset& data,
-                                               const LocalizerTrainConfig& cfg);
-
-/// Mean dice score of binarized segmentations against port truth across
-/// all attack-sample directional frames.
-[[nodiscard]] double evaluate_localizer_dice(DoSLocalizer& localizer,
+/// Mean dice score of segmentations binarized at LocalizerConfig::threshold
+/// against port truth across all attack-sample directional frames
+/// (batched scoring through nn::infer_items).
+[[nodiscard]] double evaluate_localizer_dice(const DoSLocalizer& localizer,
                                              const monitor::Dataset& data);
 
 }  // namespace dl2f::core

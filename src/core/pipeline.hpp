@@ -31,24 +31,12 @@
 // session's scratch on disjoint pages, so concurrent sessions never share
 // a cache line (see nn/inference.hpp).
 //
-// Training mirrors the same split since the GEMM backend landed:
-// train_detector/train_localizer run batched (minibatches packed into
-// nn::Tensor4, per-worker nn::InferenceContext arenas, fixed-order sliced
-// gradient reduction) and produce byte-identical weights for a given seed
-// at any TrainConfig::threads value. The per-sample reference trainers
-// (train_*_reference) are retained as the golden baseline bench_train
-// measures against.
-//
-// Dl2Fence — the seed's one-window-per-call mutable class — remains as a
-// thin deprecated shim over an engine + session pair. Migration:
-//
-//     Dl2Fence fence(cfg);                PipelineEngine engine(cfg, det, loc);
-//     fence.process(sample);       ->     PipelineSession session(engine);
-//                                         session.process(sample);
-//
-// Training flows keep using Dl2Fence (its detector()/localizer() expose
-// the mutable models); deployment hands the trained engine (or a
-// runtime::ModelSnapshot) to sessions.
+// Training runs on the same engine: a training flow constructs
+// PipelineEngine(cfg) and trains its models in place through
+// mutable_detector()/mutable_localizer()/mutable_temporal() (batched
+// nn::batch_train, byte-identical weights for a given seed at any
+// TrainConfig::threads value), then scores or freezes the engine —
+// runtime::ModelSnapshot::capture/make_engine is the serialization.
 #pragma once
 
 #include <iosfwd>
@@ -108,8 +96,7 @@ struct RoundResult {
 /// The immutable half: trained detector + localizer weights and geometry.
 /// Every accessor is const; one engine serves any number of concurrent
 /// PipelineSessions. Mutable model access exists only for training flows
-/// (the Dl2Fence shim, weight loading) and must not run concurrently with
-/// session scoring.
+/// and must not run concurrently with session scoring.
 class PipelineEngine {
  public:
   /// Architecture only — weights are uninitialized until a training flow
@@ -213,47 +200,6 @@ class PipelineSession {
   /// Bound only when the engine has a temporal head (batch capacity 1 —
   /// the online loop scores one sequence per window).
   nn::InferenceContext temporal_ctx_;
-};
-
-/// Deprecated shim: the seed's mutable one-window-per-call API, now a
-/// thin wrapper coupling one engine with one session. Kept so training
-/// flows and existing callers keep working; new code should hold a
-/// PipelineEngine and construct PipelineSessions per thread.
-class Dl2Fence {
- public:
-  explicit Dl2Fence(const Dl2FenceConfig& cfg) : engine_(cfg), session_(engine_, 1) {}
-  // Not noexcept: the fresh session binds (allocates) its arenas against
-  // the engine's new address.
-  Dl2Fence(Dl2Fence&& other) : engine_(std::move(other.engine_)), session_(engine_, 1) {}
-  Dl2Fence& operator=(Dl2Fence&&) = delete;
-
-  [[nodiscard]] const Dl2FenceConfig& config() const noexcept { return engine_.config(); }
-  [[nodiscard]] DoSDetector& detector() noexcept { return engine_.mutable_detector(); }
-  [[nodiscard]] DoSLocalizer& localizer() noexcept { return engine_.mutable_localizer(); }
-  [[nodiscard]] bool has_temporal() const noexcept { return engine_.has_temporal(); }
-  [[nodiscard]] temporal::TemporalDetector& temporal() noexcept {
-    return engine_.mutable_temporal();
-  }
-  [[nodiscard]] const monitor::FrameGeometry& geometry() const noexcept {
-    return engine_.geometry();
-  }
-
-  /// The shareable engine behind this shim (e.g. to spawn more sessions).
-  [[nodiscard]] const PipelineEngine& engine() const noexcept { return engine_; }
-
-  /// Run the full round on one monitoring window.
-  [[nodiscard]] RoundResult process(const monitor::FrameSample& sample) {
-    return session_.process(sample);
-  }
-
-  /// Localization only (see PipelineSession::localize).
-  [[nodiscard]] RoundResult localize(const monitor::FrameSample& sample) {
-    return session_.localize(sample);
-  }
-
- private:
-  PipelineEngine engine_;
-  PipelineSession session_;
 };
 
 }  // namespace dl2f::core

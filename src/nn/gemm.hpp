@@ -40,7 +40,7 @@
 //    loads/stores cover the remainder lanes so no kernel ever reads past
 //    a row. Under this contract every table variant is bitwise-identical
 //    to the scalar reference — which is why runtime dispatch is safe in
-//    a bitwise-deterministic codebase, and why DL2F_FORCE_SCALAR=1 must
+//    a bitwise-deterministic codebase, and why DL2F_GEMM_BACKEND=scalar must
 //    reproduce every committed artifact byte for byte.
 //  * Cache blocking happens only over the output columns (kColPanel-wide
 //    panels, so a full panel of B rows stays L1-resident across the m

@@ -1,10 +1,12 @@
 // Layer interface.
 //
-// Reference training path (the golden reference): forward caches whatever
-// backward needs; backward accumulates parameter gradients (zeroed
-// explicitly by the optimizer between steps) and returns the gradient
-// w.r.t. the layer input. One sample at a time, allocating — retained as
-// the bitwise ground truth the batched paths are tested against.
+// Per-sample reference path (forward/backward): forward caches whatever
+// backward needs; backward accumulates parameter gradients and returns the
+// gradient w.r.t. the layer input. One sample at a time, allocating. No
+// training or scoring flow runs it any more — its only role is the
+// bitwise ground truth the tests (and bench_inference's parity gate)
+// compare the batched paths against, so keep it a direct transcription of
+// each layer's math.
 //
 // Batched paths (const, allocation-free, the production compute):
 //  * infer_batch / forward_batch read a preallocated input batch and

@@ -1,50 +1,34 @@
 // Losses: binary cross-entropy for the detector, soft Dice for the
 // localizer ("with feedback from dice accuracy, the model can refine its
-// parameters", §3.2). Each returns the scalar loss and writes the gradient
-// w.r.t. the prediction tensor.
+// parameters", §3.2). They operate on `n` contiguous floats — one sample
+// of a batched output — and write the gradient w.r.t. the prediction into
+// a caller-owned slot (a nn::Tensor4 loss-grad sample), so the training
+// hot path never allocates.
 #pragma once
 
-#include "nn/tensor.hpp"
+#include <cstddef>
 
 namespace dl2f::nn {
 
-struct LossResult {
-  float loss = 0.0F;
-  Tensor3 grad;  ///< dLoss/dPrediction, same shape as the prediction
-};
-
-/// Mean binary cross-entropy over all elements. Predictions are sigmoid
-/// outputs in (0,1); values are clamped away from {0,1} for stability.
-/// `positive_weight` scales the loss of target-1 elements — segmentation
-/// masks are heavily class-imbalanced (a flooding route covers <10% of a
-/// 16x15 frame) and an unweighted loss leaves the model in the all-zero
-/// basin for dozens of epochs.
-[[nodiscard]] LossResult bce_loss(const Tensor3& prediction, const Tensor3& target,
-                                  float positive_weight = 1.0F);
-
-/// Soft Dice loss: 1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps).
-[[nodiscard]] LossResult dice_loss(const Tensor3& prediction, const Tensor3& target);
-
-/// Dice coefficient of binarized prediction vs binary target (metric, not
-/// a loss; the paper's "dice accuracy").
-[[nodiscard]] double dice_score(const Tensor3& prediction, const Tensor3& target,
-                                float threshold = 0.5F);
-
-// Raw-buffer variants for the batched training path: same math as the
-// Tensor3 versions, operating on `n` contiguous floats with the gradient
-// written into a caller-owned slot (a nn::Tensor4 loss-grad sample) —
-// no allocation on the training hot path.
-
-/// Mean weighted BCE over n elements; writes dLoss/dPred into grad.
+/// Mean weighted binary cross-entropy over n elements; writes
+/// dLoss/dPred into grad. Predictions are sigmoid outputs in (0,1);
+/// values are clamped away from {0,1} for stability. `positive_weight`
+/// scales the loss of target-1 elements — segmentation masks are heavily
+/// class-imbalanced (a flooding route covers <10% of a 16x15 frame) and
+/// an unweighted loss leaves the model in the all-zero basin for dozens
+/// of epochs.
 [[nodiscard]] float bce_loss_into(const float* prediction, const float* target, std::size_t n,
                                   float positive_weight, float* grad);
 
-/// Soft Dice loss over n elements; ADDS weight * dLoss/dPred into grad
-/// (the localizer combines it with a BCE gradient already staged there).
+/// Soft Dice loss 1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps) over n
+/// elements; ADDS weight * dLoss/dPred into grad (the localizer combines
+/// it with a BCE gradient already staged there).
 [[nodiscard]] float dice_loss_add(const float* prediction, const float* target, std::size_t n,
                                   float weight, float* grad);
 
-/// Dice coefficient of binarized prediction vs binary target.
+/// Dice coefficient of the prediction binarized at `threshold` (strictly
+/// above counts as positive) vs a binary target — a metric, not a loss;
+/// the paper's "dice accuracy".
 [[nodiscard]] double dice_score_raw(const float* prediction, const float* target, std::size_t n,
                                     float threshold = 0.5F);
 

@@ -48,11 +48,14 @@ class Sequential {
   [[nodiscard]] Layer& layer(std::size_t i) { return *layers_[i]; }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
-  /// Training forward: each layer caches what backward needs. One sample
-  /// at a time; allocates per layer. For scoring, use infer_batch.
+  /// Per-sample reference forward: each layer caches what backward needs.
+  /// One sample at a time; allocates per layer. Only tests (and
+  /// bench_inference's parity gate) run it, as the bitwise reference for
+  /// infer_batch/forward_batch; every training and scoring flow is batched.
   Tensor3 forward(const Tensor3& input);
-  /// Backprop from the loss gradient at the output; accumulates parameter
-  /// gradients in every layer.
+  /// Per-sample reference backprop from the loss gradient at the output;
+  /// accumulates parameter gradients in every layer. The tests' reference
+  /// for backward_batch.
   Tensor3 backward(const Tensor3& grad_output);
 
   /// Const, allocation-free batched inference through a context bound to

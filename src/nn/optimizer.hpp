@@ -1,11 +1,11 @@
 // Optimizers over the Param blocks of a Sequential model.
 //
-// Both the per-sample reference trainer and the batched data-parallel
-// trainer feed the same contract: gradients are accumulated into
-// Param::grad (the batched trainer reduces its per-slice GradientBuffers
-// there in fixed order first), then step() applies one update and clears
-// the gradients. The optimizer itself is oblivious to batching and
-// thread count — determinism is settled before it runs.
+// The contract: gradients are accumulated into Param::grad (the batched
+// trainer reduces its per-slice GradientBuffers there in fixed order
+// first; tests may drive the per-sample reference backward instead), then
+// step() applies one update and clears the gradients. The optimizer
+// itself is oblivious to batching and thread count — determinism is
+// settled before it runs.
 #pragma once
 
 #include <cmath>

@@ -1,9 +1,9 @@
 // Dense tensors for the CNN stack.
 //
-// Tensor3 is one CHW sample — the currency of the retained per-sample
-// reference path (Layer::forward/backward), which stays a direct
-// transcription of each layer's math and serves as the bitwise golden
-// reference for the batched paths.
+// Tensor3 is one CHW sample — the currency of the per-sample reference
+// path (Layer::forward/backward), which stays a direct transcription of
+// each layer's math and serves the tests as the bitwise golden reference
+// for the batched paths.
 //
 // Tensor4 is an NCHW batch of same-shaped samples, the unit ALL
 // production compute moves in: the const inference path packs monitoring

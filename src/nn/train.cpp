@@ -195,4 +195,20 @@ void batch_train(Sequential& model, Optimizer& optimizer, const Tensor3& input_s
   }
 }
 
+void infer_items(const Sequential& model, const Tensor3& input_shape, std::size_t item_count,
+                 const StageFn& stage, const ReadFn& read) {
+  InferenceContext ctx;
+  ctx.bind(model, input_shape, kInferChunk);
+  const auto chunk = static_cast<std::size_t>(kInferChunk);
+  for (std::size_t base = 0; base < item_count; base += chunk) {
+    const std::size_t n = std::min(chunk, item_count - base);
+    Tensor4& in = ctx.input(static_cast<std::int32_t>(n));
+    for (std::size_t j = 0; j < n; ++j) stage(base + j, in, static_cast<std::int32_t>(j));
+    const Tensor4& out = model.infer_batch(ctx);
+    for (std::size_t j = 0; j < n; ++j) {
+      read(base + j, out.sample(static_cast<std::int32_t>(j)), out.sample_size());
+    }
+  }
+}
+
 }  // namespace dl2f::nn

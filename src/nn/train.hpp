@@ -1,8 +1,10 @@
-// Batched, deterministic minibatch SGD: the shared training engine behind
-// core::train_detector and core::train_localizer.
+// Batched, deterministic minibatch SGD: the one training engine behind
+// core::train_detector, core::train_localizer and
+// temporal::train_temporal_detector — plus infer_items, the chunked
+// scoring loop their evaluators share.
 //
-// Each epoch shuffles the item order (same RNG consumption as the legacy
-// per-sample trainer), packs every minibatch into nn::Tensor4 batches,
+// Each epoch shuffles the item order (one std::shuffle on the caller's
+// Rng), packs every minibatch into nn::Tensor4 batches,
 // runs the GEMM-lowered forward_batch/backward_batch through per-worker
 // InferenceContext arenas, and steps the optimizer once per minibatch.
 //
@@ -59,11 +61,25 @@ using LossFn =
 /// End-of-epoch hook (main thread): epoch index, mean loss, mean metric.
 using EpochFn = std::function<void(std::int32_t epoch, float mean_loss, double mean_metric)>;
 
+/// Read the `n` output floats of `item` (infer_items' per-item readout).
+using ReadFn = std::function<void(std::size_t item, const float* out, std::size_t n)>;
+
 /// Run cfg.epochs of sliced minibatch SGD over items [0, item_count).
 /// `rng` drives the per-epoch shuffle only (weight init is the caller's).
 /// `optimizer` must be bound to `model`'s params.
 void batch_train(Sequential& model, Optimizer& optimizer, const Tensor3& input_shape,
                  std::size_t item_count, const StageFn& stage, const LossFn& loss,
                  const BatchTrainConfig& cfg, Rng& rng, const EpochFn& on_epoch = {});
+
+/// Items scored per infer_items pass (one bound arena of this capacity).
+inline constexpr std::int32_t kInferChunk = 32;
+
+/// Score items [0, item_count) through the const batched inference path:
+/// `stage` (the same StageFn batch_train takes) packs up to kInferChunk
+/// items per Sequential::infer_batch pass, and `read` receives each
+/// item's output in ascending item order. The evaluators' one scoring
+/// loop; outputs are bitwise-identical to forward() per item.
+void infer_items(const Sequential& model, const Tensor3& input_shape, std::size_t item_count,
+                 const StageFn& stage, const ReadFn& read);
 
 }  // namespace dl2f::nn

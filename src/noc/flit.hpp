@@ -13,7 +13,6 @@
 // bitwise-compared golden sums and must never wrap.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 
@@ -48,67 +47,24 @@ struct Flit {
 };
 static_assert(sizeof(Flit) == 32, "Flit is sized for VC-buffer bandwidth; see file comment");
 
-/// Fixed-capacity inline FIFO of flits (self-contained ring). Kept as the
-/// reference ring implementation and as the owner of the depth cap that
-/// bounds RouterConfig::vc_depth; the router's virtual channels store their
-/// slots out-of-line through FlitFifo below so that VC *metadata* stays
-/// cache-dense (ISSUE 9).
-class FlitRing {
- public:
-  /// Slot-count cap; RouterConfig::vc_depth may not exceed this.
-  static constexpr std::int32_t kCapacity = 16;
-
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] std::int32_t size() const noexcept { return count_; }
-
-  [[nodiscard]] Flit& front() noexcept {
-    assert(count_ > 0);
-    return slots_[head_];
-  }
-  [[nodiscard]] const Flit& front() const noexcept {
-    assert(count_ > 0);
-    return slots_[head_];
-  }
-
-  void push_back(const Flit& f) noexcept {
-    assert(count_ < kCapacity);
-    slots_[(head_ + static_cast<std::uint32_t>(count_)) & kMask] = f;
-    ++count_;
-  }
-  void pop_front() noexcept {
-    assert(count_ > 0);
-    head_ = (head_ + 1) & kMask;
-    --count_;
-  }
-  void clear() noexcept {
-    head_ = 0;
-    count_ = 0;
-  }
-
- private:
-  static constexpr std::uint32_t kMask = static_cast<std::uint32_t>(kCapacity) - 1;
-  static_assert((kCapacity & (kCapacity - 1)) == 0, "ring capacity must be a power of two");
-
-  std::array<Flit, kCapacity> slots_{};
-  std::uint32_t head_ = 0;      ///< index of the oldest flit
-  std::int32_t count_ = 0;      ///< buffered flits
-};
-
 /// A flit FIFO over externally owned slot storage — the virtual-channel
-/// buffer. Same ring semantics as FlitRing, but the slots live in the
-/// router's per-mesh-configured slot arena (sized by the *configured*
-/// vc_depth, not a compile-time maximum), so a VC's hot metadata is 16
-/// bytes and a router's whole control state stays L2-resident on large
-/// meshes. The bound capacity is a power of two >= the usable depth; the
-/// usable depth itself is enforced by credit flow control (and the assert
-/// here as the last line of defense).
+/// buffer. A power-of-two ring whose slots live in the router's
+/// per-mesh-configured slot arena (sized by the *configured* vc_depth, not
+/// a compile-time maximum), so a VC's hot metadata is 16 bytes and a
+/// router's whole control state stays L2-resident on large meshes. The
+/// bound capacity is a power of two >= the usable depth; the usable depth
+/// itself is enforced by credit flow control (and the assert here as the
+/// last line of defense).
 class FlitFifo {
  public:
+  /// Slot-count cap; RouterConfig::vc_depth may not exceed this.
+  static constexpr std::int32_t kMaxCapacity = 16;
+
   /// Attach `capacity_pow2` slots at `slots`. Capacity must be a power of
-  /// two in [1, FlitRing::kCapacity].
+  /// two in [1, kMaxCapacity].
   void bind(Flit* slots, std::int32_t capacity_pow2) noexcept {
     assert(slots != nullptr);
-    assert(capacity_pow2 >= 1 && capacity_pow2 <= FlitRing::kCapacity);
+    assert(capacity_pow2 >= 1 && capacity_pow2 <= kMaxCapacity);
     assert((capacity_pow2 & (capacity_pow2 - 1)) == 0);
     slots_ = slots;
     mask_ = static_cast<std::uint16_t>(capacity_pow2 - 1);

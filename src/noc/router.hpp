@@ -43,7 +43,7 @@ namespace dl2f::noc {
 
 struct RouterConfig {
   std::int32_t vcs_per_port = 4;  ///< at most kMaxVcsPerPort (slot bitmasks are 64-bit)
-  std::int32_t vc_depth = 4;      ///< flit slots per VC; at most FlitRing::kCapacity
+  std::int32_t vc_depth = 4;      ///< flit slots per VC; at most FlitFifo::kMaxCapacity
 };
 
 /// Upper bound on vcs_per_port: every (input port, VC) pair is one bit in
@@ -173,7 +173,7 @@ struct CreditReturn {
 class Router {
  public:
   /// Throws std::invalid_argument when `cfg` is out of range (vc_depth
-  /// must fit the inline ring: 1 <= vc_depth <= FlitRing::kCapacity,
+  /// must fit the slot cap: 1 <= vc_depth <= FlitFifo::kMaxCapacity,
   /// vcs_per_port >= 1).
   Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg);
 

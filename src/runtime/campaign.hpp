@@ -33,14 +33,12 @@ struct ModelSnapshot {
   std::string temporal_weights;
 
   static ModelSnapshot capture(const core::PipelineEngine& engine);
-  static ModelSnapshot capture(const core::Dl2Fence& fence);
 
   /// Deserialize into a shareable engine (the one weight load a campaign
-  /// performs). Throws std::runtime_error on an architecture mismatch.
+  /// performs). Throws std::runtime_error on an architecture mismatch, and
+  /// when config.enable_temporal and the temporal blob disagree (a
+  /// temporal head without weights would score with all-zero weights).
   [[nodiscard]] core::PipelineEngine make_engine() const;
-
-  /// Deprecated: rebuild a live shim pipeline from the frozen weights.
-  [[nodiscard]] core::Dl2Fence restore() const;
 };
 
 /// Dataset/training budget for train_model_snapshot (defaults sized for

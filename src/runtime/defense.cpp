@@ -24,9 +24,6 @@ DefenseRuntime::DefenseRuntime(traffic::Simulation& sim, const core::PipelineEng
   prev_hist_ = bs.packet_latency_histogram();
 }
 
-DefenseRuntime::DefenseRuntime(traffic::Simulation& sim, core::Dl2Fence& fence, DefenseConfig cfg)
-    : DefenseRuntime(sim, fence.engine(), cfg) {}
-
 WindowRecord DefenseRuntime::run_window() {
   auto& mesh = sim_.mesh();
   WindowRecord rec;

@@ -133,9 +133,6 @@ class DefenseRuntime {
   DefenseRuntime(traffic::Simulation& sim, const core::PipelineEngine& engine,
                  DefenseConfig cfg = {});
 
-  /// Deprecated shim overload: borrows the fence's engine.
-  DefenseRuntime(traffic::Simulation& sim, core::Dl2Fence& fence, DefenseConfig cfg = {});
-
   /// Optional: attach the scenario driving the attack. Enables ground-truth
   /// scoring and lets the runtime advance the scenario's dynamics. Borrowed.
   void attach_scenario(Scenario* scenario) { scenario_ = scenario; }

@@ -32,6 +32,16 @@ std::size_t SequenceDataset::benign_count() const noexcept {
 
 namespace {
 
+/// Stage one dataset sequence into batch slot `slot` (allocation-free:
+/// the window pointers live on the stack).
+void stage_sequence(const TemporalDetector& detector, const SequenceSample& seq,
+                    nn::Tensor4& input, std::int32_t slot) {
+  assert(seq.windows.size() <= static_cast<std::size_t>(kMaxSequenceLength));
+  std::array<const monitor::FrameSample*, kMaxSequenceLength> ptrs{};
+  for (std::size_t i = 0; i < seq.windows.size(); ++i) ptrs[i] = &seq.windows[i];
+  detector.preprocess_into({ptrs.data(), seq.windows.size()}, input, slot);
+}
+
 /// One simulation run of one (family, workload) cell: DefenseRuntime-style
 /// per-cycle stepping, one labeled sequence per window.
 void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
@@ -171,11 +181,7 @@ TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
 
   TemporalTrainReport report;
   const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
-    const auto& seq = data.samples[item];
-    assert(seq.windows.size() <= static_cast<std::size_t>(kMaxSequenceLength));
-    std::array<const monitor::FrameSample*, kMaxSequenceLength> ptrs{};
-    for (std::size_t i = 0; i < seq.windows.size(); ++i) ptrs[i] = &seq.windows[i];
-    detector.preprocess_into({ptrs.data(), seq.windows.size()}, input, slot);
+    stage_sequence(detector, data.samples[item], input, slot);
   };
   const auto loss = [&](std::size_t item, const float* pred, std::size_t n,
                         float* grad) -> nn::ItemLoss {
@@ -194,13 +200,17 @@ TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
   return report;
 }
 
-ConfusionMatrix evaluate_temporal_detector(TemporalDetector& detector,
+ConfusionMatrix evaluate_temporal_detector(const TemporalDetector& detector,
                                            const SequenceDataset& data) {
   ConfusionMatrix cm;
-  for (const auto& seq : data.samples) {
-    const auto view = seq.view();
-    cm.add(detector.predict({view.data(), view.size()}), seq.under_attack);
-  }
+  const float threshold = detector.config().threshold;
+  const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
+    stage_sequence(detector, data.samples[item], input, slot);
+  };
+  const auto read = [&](std::size_t item, const float* out, std::size_t /*n*/) {
+    cm.add(out[0] > threshold, data.samples[item].under_attack);
+  };
+  nn::infer_items(detector.model(), detector.input_shape(), data.samples.size(), stage, read);
   return cm;
 }
 

@@ -93,8 +93,9 @@ TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
                                             const SequenceDataset& data,
                                             const TemporalTrainConfig& cfg);
 
-/// Score every sequence in `data` (reference path).
-[[nodiscard]] ConfusionMatrix evaluate_temporal_detector(TemporalDetector& detector,
+/// Score every sequence in `data` (batched through nn::infer_items; a
+/// sequence is flagged when its probability exceeds the config threshold).
+[[nodiscard]] ConfusionMatrix evaluate_temporal_detector(const TemporalDetector& detector,
                                                          const SequenceDataset& data);
 
 }  // namespace dl2f::temporal

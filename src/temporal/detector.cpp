@@ -99,12 +99,4 @@ nn::Tensor3 TemporalDetector::preprocess(monitor::SequenceView seq) const {
   return out;
 }
 
-float TemporalDetector::predict_probability(monitor::SequenceView seq) {
-  return model_.forward(preprocess(seq)).data()[0];
-}
-
-bool TemporalDetector::predict(monitor::SequenceView seq) {
-  return predict_probability(seq) > cfg_.threshold;
-}
-
 }  // namespace dl2f::temporal

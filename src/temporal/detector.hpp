@@ -95,11 +95,6 @@ class TemporalDetector {
   /// Allocating single-sequence variant (reference path, tests).
   [[nodiscard]] nn::Tensor3 preprocess(monitor::SequenceView seq) const;
 
-  /// Reference-path scoring of one sequence (training-side convenience;
-  /// the pipeline scores through PipelineSession's batched context).
-  [[nodiscard]] float predict_probability(monitor::SequenceView seq);
-  [[nodiscard]] bool predict(monitor::SequenceView seq);
-
  private:
   TemporalDetectorConfig cfg_;
   nn::Sequential model_;

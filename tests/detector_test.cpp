@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 namespace dl2f::core {
 namespace {
 
@@ -111,6 +113,33 @@ TEST(Detector, LearnsSyntheticSeparableData) {
   EXPECT_GE(cm.accuracy(), 0.95);
 }
 
+TEST(Detector, EvaluateMatchesThePerSampleReference) {
+  // evaluate_detector scores in batched chunks; its verdicts must equal
+  // the per-sample reference forward's over more windows than one chunk.
+  const auto mesh = MeshShape::square(8);
+  DetectorConfig cfg;
+  cfg.mesh = mesh;
+  DoSDetector det(cfg);
+  Rng rng(11);
+  det.model().init_weights(rng);
+  monitor::Dataset data;
+  data.mesh = mesh;
+  for (int i = 0; i < 40; ++i) {
+    data.samples.push_back(make_sample(mesh, i % 3 == 0, static_cast<float>(rng.uniform())));
+  }
+
+  ConfusionMatrix reference;
+  for (const auto& s : data.samples) {
+    const float p = det.model().forward(det.preprocess(s)).data()[0];
+    reference.add(p > cfg.threshold, s.under_attack);
+  }
+  const ConfusionMatrix cm = evaluate_detector(det, data);
+  EXPECT_EQ(cm.tp(), reference.tp());
+  EXPECT_EQ(cm.fp(), reference.fp());
+  EXPECT_EQ(cm.fn(), reference.fn());
+  EXPECT_EQ(cm.tn(), reference.tn());
+}
+
 TEST(Detector, TrainingIsDeterministicPerSeed) {
   const auto mesh = MeshShape::square(8);
   monitor::Dataset data;
@@ -126,8 +155,10 @@ TEST(Detector, TrainingIsDeterministicPerSeed) {
   const auto ra = train_detector(a, data, tc);
   const auto rb = train_detector(b, data, tc);
   EXPECT_FLOAT_EQ(ra.final_loss, rb.final_loss);
-  EXPECT_FLOAT_EQ(a.predict_probability(data.samples[0]),
-                  b.predict_probability(data.samples[0]));
+  std::ostringstream wa, wb;
+  ASSERT_TRUE(a.model().save(wa));
+  ASSERT_TRUE(b.model().save(wb));
+  EXPECT_EQ(wa.str(), wb.str());
 }
 
 }  // namespace

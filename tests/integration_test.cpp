@@ -3,6 +3,8 @@
 // scaled-down 8x8 configuration.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
 #include "monitor/dataset.hpp"
@@ -24,43 +26,44 @@ class EndToEnd : public ::testing::Test {
     data_ = new monitor::Dataset(generate_dataset(cfg, benchmarks));
     split_ = new monitor::DatasetSplit(split_dataset(*data_, 0.3, 77));
 
-    framework_ = new core::Dl2Fence(core::Dl2FenceConfig::paper_default(mesh));
+    engine_ = new core::PipelineEngine(core::Dl2FenceConfig::paper_default(mesh));
     core::TrainConfig det_cfg;
     det_cfg.epochs = 80;
-    core::train_detector(framework_->detector(), split_->train, det_cfg);
+    core::train_detector(engine_->mutable_detector(), split_->train, det_cfg);
     core::LocalizerTrainConfig loc_cfg;
     loc_cfg.epochs = 40;
-    core::train_localizer(framework_->localizer(), split_->train, loc_cfg);
+    core::train_localizer(engine_->mutable_localizer(), split_->train, loc_cfg);
   }
 
   static void TearDownTestSuite() {
-    delete framework_;
+    delete engine_;
     delete split_;
     delete data_;
-    framework_ = nullptr;
+    engine_ = nullptr;
     split_ = nullptr;
     data_ = nullptr;
   }
 
   static monitor::Dataset* data_;
   static monitor::DatasetSplit* split_;
-  static core::Dl2Fence* framework_;
+  static core::PipelineEngine* engine_;
 };
 
 monitor::Dataset* EndToEnd::data_ = nullptr;
 monitor::DatasetSplit* EndToEnd::split_ = nullptr;
-core::Dl2Fence* EndToEnd::framework_ = nullptr;
+core::PipelineEngine* EndToEnd::engine_ = nullptr;
 
 TEST_F(EndToEnd, DetectionBeatsChanceByAWideMargin) {
-  const auto cm = core::evaluate_detector(framework_->detector(), split_->test);
+  const auto cm = core::evaluate_detector(engine_->detector(), split_->test);
   EXPECT_GE(cm.accuracy(), 0.8) << cm;
 }
 
 TEST_F(EndToEnd, LocalizationRecoversMostOfTheRoute) {
   core::LocalizationScore score;
+  core::PipelineSession session(*engine_);
   for (const auto& s : split_->test.samples) {
     if (!s.under_attack) continue;
-    const auto r = framework_->localize(s);
+    const auto r = session.localize(s);
     score.add(r.victims, s.victim_truth);
   }
   const auto m = score.metrics();
@@ -70,8 +73,9 @@ TEST_F(EndToEnd, LocalizationRecoversMostOfTheRoute) {
 
 TEST_F(EndToEnd, PipelineGatesLocalizationOnDetection) {
   // Benign windows that the detector clears must produce empty results.
+  core::PipelineSession session(*engine_);
   for (const auto& s : split_->test.samples) {
-    const auto r = framework_->process(s);
+    const auto r = session.process(s);
     if (!r.detected) {
       EXPECT_TRUE(r.victims.empty());
       EXPECT_TRUE(r.tlm.attackers.empty());
@@ -81,10 +85,11 @@ TEST_F(EndToEnd, PipelineGatesLocalizationOnDetection) {
 
 TEST_F(EndToEnd, AttackerLocalizationFindsTrueAttackerInMostWindows) {
   int windows = 0, hit = 0;
+  core::PipelineSession session(*engine_);
   for (const auto& s : split_->test.samples) {
     if (!s.under_attack) continue;
     ++windows;
-    const auto r = framework_->localize(s);
+    const auto r = session.localize(s);
     for (NodeId a : r.tlm.attackers) {
       if (std::find(s.scenario.attackers.begin(), s.scenario.attackers.end(), a) !=
           s.scenario.attackers.end()) {
@@ -98,23 +103,20 @@ TEST_F(EndToEnd, AttackerLocalizationFindsTrueAttackerInMostWindows) {
 }
 
 TEST_F(EndToEnd, VceImprovesOrMatchesRecall) {
-  core::Dl2FenceConfig no_vce_cfg = framework_->config();
+  core::Dl2FenceConfig no_vce_cfg = engine_->config();
   no_vce_cfg.enable_vce = false;
   // Share trained weights by copying them over.
-  core::Dl2Fence no_vce(no_vce_cfg);
-  {
-    std::stringstream det_buf, loc_buf;
-    framework_->detector().model().save(det_buf);
-    framework_->localizer().model().save(loc_buf);
-    ASSERT_TRUE(no_vce.detector().model().load(det_buf));
-    ASSERT_TRUE(no_vce.localizer().model().load(loc_buf));
-  }
+  std::stringstream det_buf, loc_buf;
+  ASSERT_TRUE(engine_->detector().model().save(det_buf));
+  ASSERT_TRUE(engine_->localizer().model().save(loc_buf));
+  const core::PipelineEngine no_vce(no_vce_cfg, det_buf, loc_buf);
 
   core::LocalizationScore with, without;
+  core::PipelineSession with_session(*engine_), without_session(no_vce);
   for (const auto& s : split_->test.samples) {
     if (!s.under_attack) continue;
-    with.add(framework_->localize(s).victims, s.victim_truth);
-    without.add(no_vce.localize(s).victims, s.victim_truth);
+    with.add(with_session.localize(s).victims, s.victim_truth);
+    without.add(without_session.localize(s).victims, s.victim_truth);
   }
   EXPECT_GE(with.metrics().recall, without.metrics().recall);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "monitor/dataset.hpp"
+#include "nn/loss.hpp"
 #include "traffic/fdos.hpp"
 
 namespace dl2f::core {
@@ -92,37 +93,53 @@ TEST(Localizer, LearnsToSegmentSyntheticRoutes) {
   EXPECT_GT(eval_dice, 0.85);
 }
 
-TEST(Localizer, SegmentBinaryIsBinary) {
-  LocalizerConfig cfg;
-  cfg.mesh = MeshShape::square(8);
-  DoSLocalizer loc(cfg);
-  Rng rng(3);
-  loc.model().init_weights(rng);
-  Frame f(8, 7);
-  for (float& v : f.data()) v = static_cast<float>(rng.uniform(0.0, 1000.0));
-  const Frame seg = loc.segment_binary(f);
-  for (float v : seg.data()) EXPECT_TRUE(v == 0.0F || v == 1.0F);
-}
-
-TEST(Localizer, SegmentAllProcessesFourDirections) {
+TEST(Localizer, EvaluateDiceMatchesThePerFrameReference) {
+  // evaluate_localizer_dice scores in batched chunks; it must equal the
+  // per-sample reference forward binarized by Frame::binarized, over more
+  // frames than one chunk, at a non-default threshold, skipping benign
+  // samples.
   const auto mesh = MeshShape::square(8);
   const monitor::FrameGeometry geom(mesh);
   LocalizerConfig cfg;
   cfg.mesh = mesh;
+  cfg.threshold = 0.45F;
   DoSLocalizer loc(cfg);
   Rng rng(3);
   loc.model().init_weights(rng);
 
-  monitor::FrameSample s;
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(s.boc, d) = geom.make_frame();
-    monitor::frame_of(s.vco, d) = geom.make_frame();
+  monitor::Dataset data;
+  data.mesh = mesh;
+  for (int i = 0; i < 11; ++i) {  // 9 attack samples: 36 frames > one chunk
+    monitor::FrameSample s;
+    s.under_attack = i % 5 != 4;
+    for (Direction d : kMeshDirections) {
+      Frame boc = geom.make_frame();
+      Frame mask = geom.make_frame();
+      for (float& v : boc.data()) v = static_cast<float>(rng.uniform(0.0, 1000.0));
+      for (float& v : mask.data()) v = rng.uniform() < 0.2 ? 1.0F : 0.0F;
+      monitor::frame_of(s.vco, d) = geom.make_frame();
+      monitor::frame_of(s.boc, d) = std::move(boc);
+      monitor::frame_of(s.port_truth, d) = std::move(mask);
+    }
+    data.samples.push_back(std::move(s));
   }
-  const auto seg = loc.segment_all(s);
-  for (Direction d : kMeshDirections) {
-    EXPECT_EQ(monitor::frame_of(seg, d).rows(), 8);
-    EXPECT_EQ(monitor::frame_of(seg, d).cols(), 7);
+
+  double total = 0.0;
+  std::int64_t count = 0;
+  for (const auto& s : data.samples) {
+    if (!s.under_attack) continue;
+    for (Direction d : kMeshDirections) {
+      const Frame seg = loc.model()
+                            .forward(loc.preprocess(monitor::frame_of(s.boc, d)))
+                            .to_frame()
+                            .binarized(cfg.threshold);
+      const Frame& truth = monitor::frame_of(s.port_truth, d);
+      total += nn::dice_score_raw(seg.data().data(), truth.data().data(), seg.size());
+      ++count;
+    }
   }
+  ASSERT_EQ(count, 36);
+  EXPECT_EQ(evaluate_localizer_dice(loc, data), total / static_cast<double>(count));
 }
 
 TEST(Localizer, EvaluateDiceOnEmptyDatasetIsOne) {

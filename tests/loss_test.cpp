@@ -2,105 +2,119 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 
 namespace dl2f::nn {
 namespace {
 
+/// bce_loss_into's scalar loss (its gradient goes to a throwaway buffer).
+float bce(const std::vector<float>& p, const std::vector<float>& t, float positive_weight = 1.0F) {
+  std::vector<float> grad(p.size());
+  return bce_loss_into(p.data(), t.data(), p.size(), positive_weight, grad.data());
+}
+
+/// dice_loss_add's scalar loss.
+float dice(const std::vector<float>& p, const std::vector<float>& t) {
+  std::vector<float> grad(p.size(), 0.0F);
+  return dice_loss_add(p.data(), t.data(), p.size(), 1.0F, grad.data());
+}
+
 TEST(BceLoss, PerfectPredictionsNearZero) {
-  Tensor3 p(1, 1, 2), t(1, 1, 2);
-  p.data() = {0.9999F, 0.0001F};
-  t.data() = {1.0F, 0.0F};
-  EXPECT_LT(bce_loss(p, t).loss, 1e-3F);
+  EXPECT_LT(bce({0.9999F, 0.0001F}, {1.0F, 0.0F}), 1e-3F);
 }
 
 TEST(BceLoss, KnownValue) {
-  Tensor3 p(1, 1, 1), t(1, 1, 1);
-  p.data() = {0.5F};
-  t.data() = {1.0F};
-  EXPECT_NEAR(bce_loss(p, t).loss, std::log(2.0F), 1e-5F);
+  EXPECT_NEAR(bce({0.5F}, {1.0F}), std::log(2.0F), 1e-5F);
+}
+
+TEST(BceLoss, PositiveWeightScalesOnlyTargetOneTerms) {
+  // Mean over two elements: w*log(2) for the positive, log(2) for the
+  // negative.
+  EXPECT_NEAR(bce({0.5F, 0.5F}, {1.0F, 0.0F}, 8.0F), 9.0F * std::log(2.0F) / 2.0F, 1e-5F);
 }
 
 TEST(BceLoss, ClampsExtremePredictions) {
-  Tensor3 p(1, 1, 1), t(1, 1, 1);
-  p.data() = {0.0F};  // would be -log(0) = inf without clamping
-  t.data() = {1.0F};
-  const auto r = bce_loss(p, t);
-  EXPECT_TRUE(std::isfinite(r.loss));
-  EXPECT_TRUE(std::isfinite(r.grad.data()[0]));
+  const std::array<float, 1> p{0.0F};  // would be -log(0) = inf without clamping
+  const std::array<float, 1> t{1.0F};
+  std::array<float, 1> grad{};
+  const float loss = bce_loss_into(p.data(), t.data(), 1, 1.0F, grad.data());
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_TRUE(std::isfinite(grad[0]));
 }
 
 TEST(BceLoss, GradientMatchesFiniteDifference) {
   Rng rng(3);
-  Tensor3 p(1, 2, 3), t(1, 2, 3);
+  std::vector<float> p(6), t(6);
   for (std::size_t i = 0; i < p.size(); ++i) {
-    p.data()[i] = static_cast<float>(rng.uniform(0.05, 0.95));
-    t.data()[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;
+    p[i] = static_cast<float>(rng.uniform(0.05, 0.95));
+    t[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;
   }
-  const auto r = bce_loss(p, t);
+  constexpr float kPositiveWeight = 3.0F;
+  std::vector<float> grad(p.size(), 123.0F);  // overwritten, not accumulated
+  (void)bce_loss_into(p.data(), t.data(), p.size(), kPositiveWeight, grad.data());
   constexpr float kEps = 1e-4F;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    Tensor3 plus = p, minus = p;
-    plus.data()[i] += kEps;
-    minus.data()[i] -= kEps;
-    const float numeric = (bce_loss(plus, t).loss - bce_loss(minus, t).loss) / (2 * kEps);
-    EXPECT_NEAR(r.grad.data()[i], numeric, 1e-2F);
+    std::vector<float> plus = p, minus = p;
+    plus[i] += kEps;
+    minus[i] -= kEps;
+    const float numeric =
+        (bce(plus, t, kPositiveWeight) - bce(minus, t, kPositiveWeight)) / (2 * kEps);
+    EXPECT_NEAR(grad[i], numeric, 3e-2F);
   }
 }
 
 TEST(DiceLoss, PerfectMaskNearZero) {
-  Tensor3 p(1, 2, 2), t(1, 2, 2);
-  p.data() = {1, 0, 0, 1};
-  t.data() = {1, 0, 0, 1};
-  EXPECT_LT(dice_loss(p, t).loss, 0.2F);  // eps-smoothed, not exactly 0
+  EXPECT_LT(dice({1, 0, 0, 1}, {1, 0, 0, 1}), 0.2F);  // eps-smoothed, not exactly 0
 }
 
 TEST(DiceLoss, DisjointMasksNearOne) {
-  Tensor3 p(1, 1, 2), t(1, 1, 2);
-  p.data() = {1, 0};
-  t.data() = {0, 1};
-  EXPECT_GT(dice_loss(p, t).loss, 0.5F);
+  EXPECT_GT(dice({1, 0}, {0, 1}), 0.5F);
 }
 
-TEST(DiceLoss, GradientMatchesFiniteDifference) {
+TEST(DiceLoss, GradientMatchesFiniteDifferenceAndAddsWeighted) {
   Rng rng(5);
-  Tensor3 p(1, 2, 2), t(1, 2, 2);
+  std::vector<float> p(4), t(4), staged(4);
   for (std::size_t i = 0; i < p.size(); ++i) {
-    p.data()[i] = static_cast<float>(rng.uniform(0.1, 0.9));
-    t.data()[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;
+    p[i] = static_cast<float>(rng.uniform(0.1, 0.9));
+    t[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;
+    staged[i] = static_cast<float>(rng.uniform(-1.0, 1.0));  // e.g. a BCE gradient
   }
-  const auto r = dice_loss(p, t);
+  constexpr float kWeight = 0.5F;
+  std::vector<float> grad = staged;
+  (void)dice_loss_add(p.data(), t.data(), p.size(), kWeight, grad.data());
   constexpr float kEps = 1e-4F;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    Tensor3 plus = p, minus = p;
-    plus.data()[i] += kEps;
-    minus.data()[i] -= kEps;
-    const float numeric = (dice_loss(plus, t).loss - dice_loss(minus, t).loss) / (2 * kEps);
-    EXPECT_NEAR(r.grad.data()[i], numeric, 1e-2F);
+    std::vector<float> plus = p, minus = p;
+    plus[i] += kEps;
+    minus[i] -= kEps;
+    const float numeric = (dice(plus, t) - dice(minus, t)) / (2 * kEps);
+    EXPECT_NEAR(grad[i] - staged[i], kWeight * numeric, 1e-2F);
   }
 }
 
 TEST(DiceScore, MatchesSetFormula) {
-  Tensor3 p(1, 1, 4), t(1, 1, 4);
-  p.data() = {0.9F, 0.8F, 0.1F, 0.2F};  // binarized: {1,1,0,0}
-  t.data() = {1, 0, 1, 0};
+  const std::array<float, 4> p{0.9F, 0.8F, 0.1F, 0.2F};  // binarized: {1,1,0,0}
+  const std::array<float, 4> t{1, 0, 1, 0};
   // intersection 1, |P| 2, |T| 2 -> 2*1/4 = 0.5.
-  EXPECT_DOUBLE_EQ(dice_score(p, t), 0.5);
+  EXPECT_DOUBLE_EQ(dice_score_raw(p.data(), t.data(), p.size()), 0.5);
 }
 
 TEST(DiceScore, EmptyBothIsOne) {
-  Tensor3 p(1, 1, 3), t(1, 1, 3);
-  EXPECT_DOUBLE_EQ(dice_score(p, t), 1.0);
+  const std::array<float, 3> p{}, t{};
+  EXPECT_DOUBLE_EQ(dice_score_raw(p.data(), t.data(), p.size()), 1.0);
 }
 
 TEST(DiceScore, ThresholdMatters) {
-  Tensor3 p(1, 1, 2), t(1, 1, 2);
-  p.data() = {0.4F, 0.4F};
-  t.data() = {1, 1};
-  EXPECT_DOUBLE_EQ(dice_score(p, t, 0.5F), 0.0);
-  EXPECT_DOUBLE_EQ(dice_score(p, t, 0.3F), 1.0);
+  const std::array<float, 2> p{0.4F, 0.4F};
+  const std::array<float, 2> t{1, 1};
+  EXPECT_DOUBLE_EQ(dice_score_raw(p.data(), t.data(), p.size(), 0.5F), 0.0);
+  EXPECT_DOUBLE_EQ(dice_score_raw(p.data(), t.data(), p.size(), 0.3F), 1.0);
+  // Strictly above the threshold counts, as Frame::binarized binarizes.
+  EXPECT_DOUBLE_EQ(dice_score_raw(p.data(), t.data(), p.size(), 0.4F), 0.0);
 }
 
 }  // namespace

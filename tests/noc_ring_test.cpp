@@ -1,5 +1,5 @@
-// The flat-storage datapath's new moving parts: the inline FlitRing VC
-// buffer, router-config validation, worklist activation/deactivation, and
+// The flat-storage datapath's moving parts: the FlitFifo VC buffer,
+// router-config validation, worklist activation/deactivation, and
 // the zero-steady-state-allocation contract of Mesh::step.
 #include <gtest/gtest.h>
 
@@ -21,40 +21,10 @@ Flit numbered_flit(std::int32_t seq) {
   return f;
 }
 
-TEST(FlitRing, FifoOrderAcrossWraparound) {
-  FlitRing ring;
-  std::int32_t next_push = 0;
-  std::int32_t next_pop = 0;
-  // Repeatedly half-fill and half-drain so head_ wraps the inline array
-  // several times; FIFO order must survive every wrap.
-  for (int round = 0; round < 10; ++round) {
-    while (ring.size() < FlitRing::kCapacity) ring.push_back(numbered_flit(next_push++));
-    for (int i = 0; i < FlitRing::kCapacity / 2 + 3; ++i) {
-      ASSERT_FALSE(ring.empty());
-      EXPECT_EQ(ring.front().seq, next_pop++);
-      ring.pop_front();
-    }
-  }
-  while (!ring.empty()) {
-    EXPECT_EQ(ring.front().seq, next_pop++);
-    ring.pop_front();
-  }
-  EXPECT_EQ(next_pop, next_push);
-  EXPECT_EQ(ring.size(), 0);
-}
-
-TEST(FlitRing, ClearResetsToEmpty) {
-  FlitRing ring;
-  for (int i = 0; i < 5; ++i) ring.push_back(numbered_flit(i));
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
-  ring.push_back(numbered_flit(42));
-  EXPECT_EQ(ring.front().seq, 42);
-}
-
 TEST(FlitFifo, FifoOrderAcrossWraparoundOnBoundSlots) {
-  // FlitFifo rings over router-owned slot arenas (the ISSUE-9 datapath);
-  // same wraparound contract as the inline FlitRing, external storage.
+  // FlitFifo rings over router-owned slot arenas: repeatedly fill and
+  // partly drain so head_ wraps the slots several times; FIFO order must
+  // survive every wrap.
   Flit slots[8];
   FlitFifo fifo;
   fifo.bind(slots, 8);
@@ -86,14 +56,14 @@ TEST(FlitFifo, ClearResetsToEmptyKeepingBinding) {
   EXPECT_EQ(fifo.front().seq, 42);
 }
 
-TEST(RouterConfig, RejectsDepthsBeyondTheInlineRing) {
+TEST(RouterConfig, RejectsDepthsBeyondTheFifoCap) {
   const auto mesh = MeshShape::square(4);
   RouterConfig cfg;
-  cfg.vc_depth = FlitRing::kCapacity + 1;
+  cfg.vc_depth = FlitFifo::kMaxCapacity + 1;
   EXPECT_THROW(Router(0, mesh, cfg), std::invalid_argument);
   cfg.vc_depth = 0;
   EXPECT_THROW(Router(0, mesh, cfg), std::invalid_argument);
-  cfg.vc_depth = FlitRing::kCapacity;  // the boundary itself is valid
+  cfg.vc_depth = FlitFifo::kMaxCapacity;  // the boundary itself is valid
   EXPECT_NO_THROW(Router(0, mesh, cfg));
 }
 

@@ -1,5 +1,6 @@
-// Engine/session split: batched scoring must be bitwise-identical to the
-// per-window shim path (and to the training-time forward pass), and one
+// Engine/session split: batched scoring must be bitwise-identical to
+// one-window-per-call scoring (and to the per-sample reference forward
+// pass), and one
 // immutable PipelineEngine must be safely shareable across concurrent
 // sessions with deterministic results.
 #include "core/pipeline.hpp"
@@ -47,14 +48,14 @@ std::vector<monitor::FrameSample> synthetic_windows(std::size_t count, std::uint
   return windows;
 }
 
-/// Deterministically initialized (untrained) shim; parity does not care
+/// Deterministically initialized (untrained) engine; parity does not care
 /// about model quality, only that both paths see identical weights.
-core::Dl2Fence deterministic_fence() {
-  core::Dl2Fence fence(core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide)));
+core::PipelineEngine deterministic_engine() {
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide)));
   Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  return fence;
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
+  return engine;
 }
 
 void expect_bitwise_equal(const core::RoundResult& a, const core::RoundResult& b,
@@ -69,17 +70,18 @@ void expect_bitwise_equal(const core::RoundResult& a, const core::RoundResult& b
   EXPECT_EQ(a.fusion.mff, b.fusion.mff) << "window " << index;
 }
 
-TEST(PipelineEngine, ProcessBatchBitwiseIdenticalToShimProcess) {
-  core::Dl2Fence fence = deterministic_fence();
+TEST(PipelineEngine, ProcessBatchBitwiseIdenticalToProcess) {
+  const core::PipelineEngine engine = deterministic_engine();
   const auto windows = synthetic_windows(21, 0x1234);  // odd count: exercises chunk tails
 
-  core::PipelineSession session(fence.engine(), /*max_batch=*/8);
+  core::PipelineSession session(engine, /*max_batch=*/8);
   const auto batched = session.process_batch({windows.data(), windows.size()});
   ASSERT_EQ(batched.size(), windows.size());
 
+  core::PipelineSession per_window(engine, /*max_batch=*/1);
   std::size_t detected = 0;
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const core::RoundResult single = fence.process(windows[i]);
+    const core::RoundResult single = per_window.process(windows[i]);
     expect_bitwise_equal(batched[i], single, i);
     detected += batched[i].detected ? 1 : 0;
   }
@@ -89,36 +91,37 @@ TEST(PipelineEngine, ProcessBatchBitwiseIdenticalToShimProcess) {
   EXPECT_LT(detected, windows.size());
 }
 
-TEST(PipelineEngine, InferencePathMatchesTrainingForwardBitwise) {
-  // Deployment verdicts must never drift from what training measured: the
-  // const batched path reproduces Sequential::forward exactly.
-  core::Dl2Fence fence = deterministic_fence();
+TEST(PipelineEngine, InferencePathMatchesReferenceForwardBitwise) {
+  // The const batched path reproduces the per-sample reference
+  // Sequential::forward exactly.
+  core::PipelineEngine engine = deterministic_engine();
   const auto windows = synthetic_windows(9, 0x777);
 
-  core::PipelineSession session(fence.engine());
+  core::PipelineSession session(engine);
   const auto probs = session.detect_batch({windows.data(), windows.size()});
+  core::DoSDetector& detector = engine.mutable_detector();
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const float training = fence.detector().predict_probability(windows[i]);
+    const float training = detector.model().forward(detector.preprocess(windows[i])).data()[0];
     EXPECT_EQ(std::memcmp(&training, &probs[i], sizeof(float)), 0)
         << "window " << i << ": " << training << " vs " << probs[i];
   }
 }
 
-TEST(PipelineEngine, LocalizeBatchMatchesShimLocalize) {
-  core::Dl2Fence fence = deterministic_fence();
+TEST(PipelineEngine, LocalizeBatchMatchesLocalize) {
+  const core::PipelineEngine engine = deterministic_engine();
   const auto windows = synthetic_windows(6, 0xabcd);
 
-  core::PipelineSession session(fence.engine());
+  core::PipelineSession session(engine);
   const auto batched = session.localize_batch({windows.data(), windows.size()});
+  core::PipelineSession per_window(engine, /*max_batch=*/1);
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const core::RoundResult single = fence.localize(windows[i]);
+    const core::RoundResult single = per_window.localize(windows[i]);
     expect_bitwise_equal(batched[i], single, i);
   }
 }
 
 TEST(PipelineEngine, OneEngineSharedByFourConcurrentSessionsIsDeterministic) {
-  core::Dl2Fence fence = deterministic_fence();
-  const core::PipelineEngine& engine = fence.engine();
+  const core::PipelineEngine engine = deterministic_engine();
   const auto windows = synthetic_windows(24, 0xbeef);
   const monitor::WindowBatch batch{windows.data(), windows.size()};
 
@@ -145,20 +148,21 @@ TEST(PipelineEngine, OneEngineSharedByFourConcurrentSessionsIsDeterministic) {
 }
 
 TEST(PipelineEngine, BatchLargerThanSessionCapacityIsChunked) {
-  core::Dl2Fence fence = deterministic_fence();
+  const core::PipelineEngine engine = deterministic_engine();
   const auto windows = synthetic_windows(5, 0x5150);
 
   // A batch larger than the session capacity is scored in max_batch-sized
   // chunks (2+2+1 here) and must stay identical to the per-window path.
-  core::PipelineSession tiny(fence.engine(), /*max_batch=*/2);
+  core::PipelineSession tiny(engine, /*max_batch=*/2);
   const auto batched = tiny.process_batch({windows.data(), windows.size()});
+  core::PipelineSession per_window(engine, /*max_batch=*/1);
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    expect_bitwise_equal(batched[i], fence.process(windows[i]), i);
+    expect_bitwise_equal(batched[i], per_window.process(windows[i]), i);
   }
 }
 
-TEST(PipelineEngine, EngineScoreBenchmarkMatchesShimScores) {
-  core::Dl2Fence fence = deterministic_fence();
+TEST(PipelineEngine, ScoreBenchmarkMatchesPerWindowRounds) {
+  const core::PipelineEngine engine = deterministic_engine();
 
   monitor::Dataset test;
   test.mesh = MeshShape::square(kMeshSide);
@@ -167,12 +171,23 @@ TEST(PipelineEngine, EngineScoreBenchmarkMatchesShimScores) {
     if (s.under_attack) s.victim_truth = {1, 2, 3};
   }
 
-  const auto via_engine = core::score_benchmark(fence.engine(), "synthetic", test);
-  const auto via_shim = core::score_benchmark(fence, "synthetic", test);
-  EXPECT_EQ(via_engine.detection.accuracy, via_shim.detection.accuracy);
-  EXPECT_EQ(via_engine.detection.f1, via_shim.detection.f1);
-  EXPECT_EQ(via_engine.localization.accuracy, via_shim.localization.accuracy);
-  EXPECT_EQ(via_engine.localization.f1, via_shim.localization.f1);
+  // The per-window reference: detection verdicts from process(), and
+  // detector-independent localization of every attack window.
+  core::PipelineSession per_window(engine, /*max_batch=*/1);
+  ConfusionMatrix detection;
+  core::LocalizationScore localization;
+  for (const auto& s : test.samples) {
+    detection.add(per_window.process(s).detected, s.under_attack);
+    if (s.under_attack) localization.add(per_window.localize(s).victims, s.victim_truth);
+  }
+  const core::Metrics4 per_window_detection = core::detection_metrics(detection);
+  const core::Metrics4 per_window_localization = localization.metrics();
+
+  const auto batched = core::score_benchmark(engine, "synthetic", test);
+  EXPECT_EQ(batched.detection.accuracy, per_window_detection.accuracy);
+  EXPECT_EQ(batched.detection.f1, per_window_detection.f1);
+  EXPECT_EQ(batched.localization.accuracy, per_window_localization.accuracy);
+  EXPECT_EQ(batched.localization.f1, per_window_localization.f1);
 }
 
 TEST(PipelineEngine, SnapshotMakeEngineRejectsMismatchedBlobs) {

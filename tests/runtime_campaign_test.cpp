@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace dl2f::runtime {
 namespace {
@@ -13,12 +14,15 @@ constexpr std::int32_t kMeshSide = 8;
 
 /// Deterministically initialized (but untrained) pipeline: campaign
 /// mechanics do not care about model quality, only about determinism.
-ModelSnapshot deterministic_snapshot() {
-  core::Dl2Fence fence(core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide)));
-  Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  return ModelSnapshot::capture(fence);
+ModelSnapshot deterministic_snapshot(bool temporal = false) {
+  core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
+  cfg.enable_temporal = temporal;
+  core::PipelineEngine engine(cfg);
+  Rng det_rng(7), loc_rng(8), tmp_rng(9);
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
+  if (temporal) engine.mutable_temporal().model().init_weights(tmp_rng);
+  return ModelSnapshot::capture(engine);
 }
 
 CampaignConfig small_campaign() {
@@ -32,23 +36,32 @@ CampaignConfig small_campaign() {
   return cfg;
 }
 
-TEST(ModelSnapshot, RoundTripsWeightsExactly) {
-  const ModelSnapshot snap = deterministic_snapshot();
-  EXPECT_FALSE(snap.detector_weights.empty());
-  EXPECT_FALSE(snap.localizer_weights.empty());
+TEST(ModelSnapshot, CaptureOfMakeEngineReproducesEveryBlob) {
+  for (const bool temporal : {false, true}) {
+    SCOPED_TRACE(temporal ? "with a temporal head" : "without a temporal head");
+    const ModelSnapshot snap = deterministic_snapshot(temporal);
+    EXPECT_FALSE(snap.detector_weights.empty());
+    EXPECT_FALSE(snap.localizer_weights.empty());
+    EXPECT_EQ(snap.temporal_weights.empty(), !temporal);
 
-  core::Dl2Fence a = snap.restore();
-  core::Dl2Fence b = snap.restore();
-
-  // Identical weights -> identical predictions on the same frames.
-  monitor::FrameSample sample;
-  const monitor::FrameGeometry geom(MeshShape::square(kMeshSide));
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(sample.vco, d) = geom.make_frame();
-    monitor::frame_of(sample.boc, d) = geom.make_frame();
+    const ModelSnapshot again = ModelSnapshot::capture(snap.make_engine());
+    EXPECT_EQ(again.config.enable_temporal, temporal);
+    EXPECT_EQ(again.detector_weights, snap.detector_weights);
+    EXPECT_EQ(again.localizer_weights, snap.localizer_weights);
+    EXPECT_EQ(again.temporal_weights, snap.temporal_weights);
   }
-  EXPECT_FLOAT_EQ(a.detector().predict_probability(sample),
-                  b.detector().predict_probability(sample));
+}
+
+TEST(ModelSnapshot, MakeEngineRejectsATemporalFlagWithoutItsBlob) {
+  // A temporal head without weights would score with all-zero weights.
+  ModelSnapshot snap = deterministic_snapshot(/*temporal=*/true);
+  snap.temporal_weights.clear();
+  EXPECT_THROW((void)snap.make_engine(), std::runtime_error);
+
+  // The converse mismatch: a temporal blob the config has no head for.
+  ModelSnapshot stray = deterministic_snapshot(/*temporal=*/true);
+  stray.config.enable_temporal = false;
+  EXPECT_THROW((void)stray.make_engine(), std::runtime_error);
 }
 
 TEST(Campaign, JobsComeBackInGridOrder) {
