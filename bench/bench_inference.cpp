@@ -1,20 +1,19 @@
 // Inference throughput: the engine/session redesign measured.
 //
-// Scores the same synthetic monitoring-window set four ways and reports
-// windows/sec for each:
-//   * single_window — the seed's per-window mutable path (training-forward
-//     per call: per-layer allocations + backward caches), i.e. what every
-//     window cost before the PipelineEngine/PipelineSession split;
-//   * session batch {1, 8, 32} — the allocation-free const path at
-//     different batch capacities;
+// Scores the same synthetic monitoring-window set through the
+// allocation-free const path and reports windows/sec for each arm:
+//   * session batch {1, 8, 32} — one session at different batch
+//     capacities (batch 1 is what the live defense loop scores with);
 //   * 1/2/4 sessions — concurrent sessions sharing ONE engine, each
 //     scoring a disjoint shard (the campaign scaling model).
 //
 // The detector threshold is raised above 1 so every arm measures the
 // always-on detector stage that each window pays regardless of verdict
 // (localization cost is scenario-dependent and benchmarked by the table
-// benches). A bitwise parity check between the legacy and batched paths
-// runs first; the bench exits non-zero if they ever disagree.
+// benches). A bitwise parity check between the per-sample reference
+// forward (training-time Sequential::forward, which no scoring flow runs)
+// and the batched path runs first and is not timed; the bench exits
+// non-zero if they ever disagree.
 //
 // Output: human-readable table on stdout plus machine-readable
 // BENCH_inference.json in the working directory. Pass --quick for the CI
@@ -140,7 +139,7 @@ int main(int argc, char** argv) {
   engine.mutable_detector().model().init_weights(det_rng);
   engine.mutable_localizer().model().init_weights(loc_rng);
   // The per-sample reference forward (mutable: it caches activations for
-  // backward), the path the parity gate and arm 1 run.
+  // backward), the path the parity gate compares against.
   core::DoSDetector& reference = engine.mutable_detector();
   const auto reference_probability = [&](const monitor::FrameSample& w) {
     return reference.model().forward(reference.preprocess(w)).data()[0];
@@ -173,18 +172,13 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::cout << "parity: batched path bitwise-identical to legacy path over " << windows.size()
+    std::cout << "parity: batched path bitwise-identical to reference forward over " << windows.size()
               << " windows\n";
   }
 
   double checksum = 0.0;  // keep every arm's work observable
 
-  // Arm 1: the seed's per-window cost (mutable forward, allocates per layer).
-  const double single_wps = throughput(num_windows, repeats, [&] {
-    for (const auto& w : windows) checksum += reference_probability(w);
-  });
-
-  // Arm 2: session batch sizes 1 / 8 / 32.
+  // Session batch sizes 1 / 8 / 32.
   const std::vector<std::int32_t> batch_sizes{1, 8, 32};
   std::vector<double> batch_wps;
   for (const std::int32_t b : batch_sizes) {
@@ -195,7 +189,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Arm 3: 1/2/4 sessions over one shared engine, disjoint shards. Each
+  // 1/2/4 sessions over one shared engine, disjoint shards. Each
   // session is constructed ON its worker thread (per-thread malloc arenas
   // put every session's scratch on disjoint pages — the false-sharing
   // contract from nn/inference.hpp) and BEFORE the clock starts: a start
@@ -244,17 +238,14 @@ int main(int argc, char** argv) {
     session_detail.push_back(std::move(detail));
   }
 
-  const double speedup32 = batch_wps[2] / single_wps;
   const auto gflops = [flops_per_window](double wps) {
     return wps * static_cast<double>(flops_per_window) / 1e9;
   };
 
-  std::cout << "\n  single_window (legacy mutable forward): " << single_wps << " windows/s ("
-            << gflops(single_wps) << " GFLOP/s, " << backend << ")\n";
+  std::cout << "\n";
   for (std::size_t i = 0; i < batch_sizes.size(); ++i) {
     std::cout << "  session batch " << batch_sizes[i] << ": " << batch_wps[i] << " windows/s ("
-              << batch_wps[i] / single_wps << "x single, " << gflops(batch_wps[i])
-              << " GFLOP/s)\n";
+              << gflops(batch_wps[i]) << " GFLOP/s, " << backend << ")\n";
   }
   for (std::size_t i = 0; i < session_counts.size(); ++i) {
     std::cout << "  " << session_counts[i] << " session(s), one engine: " << session_wps[i]
@@ -278,8 +269,6 @@ int main(int argc, char** argv) {
        << "  \"gemm_backend\": \"" << backend << "\",\n"
        << "  \"affinity_cpus\": " << affinity_cpu_count() << ",\n"
        << "  \"detector_flops_per_window\": " << flops_per_window << ",\n"
-       << "  \"single_window_wps\": " << single_wps << ",\n"
-       << "  \"single_window_gflops\": " << gflops(single_wps) << ",\n"
        << "  \"batch_wps\": {";
   for (std::size_t i = 0; i < batch_sizes.size(); ++i) {
     json << (i == 0 ? "" : ", ") << "\"" << batch_sizes[i] << "\": " << batch_wps[i];
@@ -301,13 +290,11 @@ int main(int argc, char** argv) {
     }
     json << "]";
   }
-  json << "},\n"
-       << "  \"speedup_batch32_vs_single_window\": " << speedup32 << "\n"
+  json << "}\n"
        << "}\n";
 
   std::ofstream out("BENCH_inference.json");
   out << json.str();
-  std::cout << "\nwrote BENCH_inference.json (speedup_batch32_vs_single_window = " << speedup32
-            << ")\n";
+  std::cout << "\nwrote BENCH_inference.json\n";
   return 0;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -29,19 +27,51 @@ std::int32_t resolve_step_threads(const MeshConfig& cfg, std::int32_t shard_coun
   return std::clamp(t, 1, shard_count);
 }
 
+/// How long a waiter polls before parking. Between back-to-back
+/// Mesh::step calls the next handoff arrives within microseconds, so a
+/// short pause-spin (1024 pauses ran 16-21 us on a 4-core Xeon VM) catches
+/// it without a futex round trip; the yields that follow hand the core to
+/// a descheduled participant when threads outnumber cores; a worker whose
+/// mesh stops stepping (monitor sampling, inference) then parks instead of
+/// burning a core.
+constexpr int kPauseSpins = 1024;
+constexpr int kYieldSpins = 64;
+
+/// Return once `a` no longer holds `old` (acquire): poll it for a while,
+/// then block in std::atomic::wait until a notify_* delivers the change.
+template <typename T>
+void await_change(const std::atomic<T>& a, T old) noexcept {
+  for (int i = 0; i < kPauseSpins + kYieldSpins; ++i) {
+    if (a.load(std::memory_order_acquire) != old) return;
+    if (i < kPauseSpins) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  a.wait(old, std::memory_order_acquire);
+}
+
 }  // namespace
 
-/// Persistent worker pool for sharded stepping — the nn/train.cpp
-/// WorkerPool idiom (generation-counter start latch, caller participates)
-/// plus an in-phase barrier. One dispatch per Mesh::step: each participant
-/// runs NI+route for its shards, meets the barrier, then applies. The
-/// task is a plain function pointer + context so dispatching allocates
-/// nothing (Mesh::step runs under a NoAllocScope).
+/// Persistent worker pool for sharded stepping. One dispatch per
+/// Mesh::step: each participant runs NI+route for its shards, meets the
+/// barrier, then applies; the caller is participant 0. Every handoff is an
+/// epoch or count on one atomic that the waiting side spins on briefly and
+/// then parks on (await_change), with no mutex anywhere:
+///  * start: run() publishes the task, then bumps start_epoch_; each
+///    worker waits for the epoch after the one it last ran.
+///  * done: each worker decrements pending_; run() returns at zero.
+///  * barrier: the last arriver bumps barrier_epoch_.
+/// The task is a plain function pointer + context, so dispatching
+/// allocates nothing (Mesh::step runs under a NoAllocScope).
 class Mesh::StepPool {
  public:
   using TaskFn = void (*)(Mesh*, std::int32_t);
 
-  explicit StepPool(std::int32_t workers) {
+  explicit StepPool(std::int32_t workers) : workers_(workers) {
     threads_.reserve(static_cast<std::size_t>(workers));
     for (std::int32_t w = 0; w < workers; ++w) {
       threads_.emplace_back([this, w] { worker_loop(w + 1); });  // participant 0 = caller
@@ -49,11 +79,9 @@ class Mesh::StepPool {
   }
 
   ~StepPool() {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
+    stop_ = true;  // published by the epoch's release below
+    start_epoch_.fetch_add(1, std::memory_order_release);
+    start_epoch_.notify_all();
     for (auto& t : threads_) t.join();
   }
 
@@ -61,70 +89,57 @@ class Mesh::StepPool {
   StepPool& operator=(const StepPool&) = delete;
 
   /// Run fn(mesh, p) on every participant p in [0, workers]; p == 0 is the
-  /// calling thread. Returns after all participants finish.
+  /// calling thread. Returns after all participants finish. The release
+  /// bump publishes the task; the acquire loads of pending_ make every
+  /// worker's writes visible to the caller on return.
   void run(Mesh* mesh, TaskFn fn) {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      mesh_ = mesh;
-      fn_ = fn;
-      done_ = 0;
-      ++generation_;
-    }
-    start_cv_.notify_all();
+    mesh_ = mesh;
+    fn_ = fn;
+    pending_.store(workers_, std::memory_order_relaxed);
+    start_epoch_.fetch_add(1, std::memory_order_release);
+    start_epoch_.notify_all();
     fn(mesh, 0);
-    std::unique_lock<std::mutex> lock(m_);
-    done_cv_.wait(lock, [&] { return done_ == static_cast<std::int32_t>(threads_.size()); });
+    for (std::int32_t left = pending_.load(std::memory_order_acquire); left != 0;
+         left = pending_.load(std::memory_order_acquire)) {
+      await_change(pending_, left);
+    }
   }
 
   /// In-phase barrier for `participants` = workers + 1 threads. Last
-  /// arriver resets the count and releases the generation; the release/
-  /// acquire pair publishes every pre-barrier write (the staging arenas)
-  /// to every post-barrier reader.
+  /// arriver resets the count and bumps the epoch; the release/acquire
+  /// pair publishes every pre-barrier write (the staging lanes) to every
+  /// post-barrier reader.
   void barrier(std::int32_t participants) noexcept {
-    const std::uint64_t gen = barrier_gen_.load(std::memory_order_acquire);
+    const std::uint32_t epoch = barrier_epoch_.load(std::memory_order_acquire);
     if (barrier_arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants) {
       barrier_arrived_.store(0, std::memory_order_relaxed);
-      barrier_gen_.store(gen + 1, std::memory_order_release);
+      barrier_epoch_.store(epoch + 1, std::memory_order_release);
+      barrier_epoch_.notify_all();
     } else {
-      while (barrier_gen_.load(std::memory_order_acquire) == gen) {
-        std::this_thread::yield();
-      }
+      await_change(barrier_epoch_, epoch);
     }
   }
 
  private:
   void worker_loop(std::int32_t participant) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Mesh* mesh = nullptr;
-      TaskFn fn = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(m_);
-        start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        mesh = mesh_;
-        fn = fn_;
-      }
-      fn(mesh, participant);
-      {
-        const std::lock_guard<std::mutex> lock(m_);
-        ++done_;
-      }
-      done_cv_.notify_one();
+    // run() waits for every worker before it bumps the epoch again, so
+    // each wake-up is exactly one epoch on from the last.
+    for (std::uint32_t seen = 0;; ++seen) {
+      await_change(start_epoch_, seen);
+      if (stop_) return;
+      fn_(mesh_, participant);
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) pending_.notify_one();
     }
   }
 
-  std::mutex m_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
+  const std::int32_t workers_;
   Mesh* mesh_ = nullptr;
   TaskFn fn_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::int32_t done_ = 0;
   bool stop_ = false;
+  std::atomic<std::uint32_t> start_epoch_{0};
+  std::atomic<std::int32_t> pending_{0};
   std::atomic<std::int32_t> barrier_arrived_{0};
-  std::atomic<std::uint64_t> barrier_gen_{0};
+  std::atomic<std::uint32_t> barrier_epoch_{0};
   std::vector<std::thread> threads_;
 };
 
@@ -145,14 +160,6 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
   quarantined_.assign(n, 0);
   ni_injected_flits_.assign(n, 0);
 
-  neighbors_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t d = 0; d < kNumMeshDirections; ++d) {
-      const auto nb = cfg.shape.neighbor(static_cast<NodeId>(i), static_cast<Direction>(d));
-      neighbors_[i][d] = nb.value_or(-1);
-    }
-  }
-
   // Row-band partition: contiguous bands of rows/k rows, the first rows%k
   // bands one row taller, so ids [first, end) are contiguous per shard.
   const std::int32_t k = resolve_shards(cfg);
@@ -171,7 +178,7 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
     for (NodeId id = sh.first; id < sh.end; ++id) {
       shard_of_[static_cast<std::size_t>(id)] = s;
     }
-    // Reserve every arena at its physical per-cycle maximum so Mesh::step
+    // Reserve every lane at its physical per-cycle maximum so Mesh::step
     // can never allocate, not even transiently. A router latches at most
     // one flit per output port per cycle (4 link transfers + 1 ejection);
     // only ONE output port of a boundary-row router faces the adjacent
@@ -183,17 +190,32 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
     const auto cross = static_cast<std::size_t>(cols);
     sh.active_routers.assign(shard_n);
     sh.active_sources.assign(shard_n);
-    sh.transfers.reserve(kNumPorts - 1);
-    sh.credit_scratch.reserve(kNumPorts);
-    sh.arrivals_local.reserve(shard_n * (kNumPorts - 1));
-    sh.arrivals_prev.reserve(cross);
-    sh.arrivals_next.reserve(cross);
-    sh.credits_local.reserve(shard_n * kNumPorts);
-    sh.credits_prev.reserve(cross * kNumPorts);
-    sh.credits_next.reserve(cross * kNumPorts);
-    sh.ejected.reserve(shard_n);
+    sh.lanes.flits_to(Lane::Local).reserve(shard_n * (kNumPorts - 1));
+    sh.lanes.flits_to(Lane::Prev).reserve(cross);
+    sh.lanes.flits_to(Lane::Next).reserve(cross);
+    sh.lanes.credits_to(Lane::Local).reserve(shard_n * kNumPorts);
+    sh.lanes.credits_to(Lane::Prev).reserve(cross * kNumPorts);
+    sh.lanes.credits_to(Lane::Next).reserve(cross * kNumPorts);
+    sh.lanes.ejected.reserve(shard_n);
   }
   assert(row0 == rows);
+
+  // Resolve each link's lane once: a link into the band before (after)
+  // this router's own feeds the Prev (Next) lane. Only North/South links
+  // of band-edge rows ever cross.
+  for (std::size_t i = 0; i < n; ++i) {
+    Router& r = routers_[i];
+    for (const Direction d : kMeshDirections) {
+      const NodeId to = r.link(d).to;
+      if (to < 0) continue;
+      const std::int32_t from_shard = shard_of_[i];
+      const std::int32_t to_shard = shard_of_[static_cast<std::size_t>(to)];
+      assert(to_shard >= from_shard - 1 && to_shard <= from_shard + 1);
+      r.set_link_lane(d, to_shard == from_shard ? Lane::Local
+                         : to_shard < from_shard ? Lane::Prev
+                                                 : Lane::Next);
+    }
+  }
 
   step_threads_ = resolve_step_threads(cfg, k);
   if (step_threads_ > 1) {
@@ -291,64 +313,29 @@ void Mesh::ni_phase(Shard& sh) {
 }
 
 void Mesh::route_phase(Shard& sh) {
-  // Stage this shard's outgoing traffic. The staging lists are cleared
+  // Each router stages its own outgoing traffic. The lanes are cleared
   // here (not in the apply phase) so a quiescent shard still presents
-  // empty lists to its neighbors' apply phases.
-  sh.arrivals_local.clear();
-  sh.arrivals_prev.clear();
-  sh.arrivals_next.clear();
-  sh.credits_local.clear();
-  sh.credits_prev.clear();
-  sh.credits_next.clear();
-  sh.ejected.clear();
-  const std::int32_t my_shard = shard_of_[static_cast<std::size_t>(sh.first)];
-
+  // empty lanes to its neighbors' apply phases.
+  sh.lanes.clear();
   sh.active_routers.for_each([&](std::size_t i) {
-    const NodeId id = sh.first + static_cast<NodeId>(i);
-    sh.transfers.clear();
-    sh.credit_scratch.clear();
-    Router& r = routers_[static_cast<std::size_t>(id)];
-    r.step(cfg_.shape, sh.transfers, sh.credit_scratch, sh.ejected, now_);
+    Router& r = routers_[static_cast<std::size_t>(sh.first) + i];
+    r.step(sh.lanes, now_);
     // A drained router leaves the set now; an arrival in this cycle's
     // apply phase puts it back. A router with an Active-but-empty VC holds
     // no flits and has nothing to do until that arrival.
     if (r.buffered_flits() == 0) sh.active_routers.reset(i);
-
-    for (const auto& t : sh.transfers) {
-      const NodeId to = neighbors_[static_cast<std::size_t>(id)][static_cast<std::size_t>(
-          t.out_dir)];
-      assert(to >= 0);
-      const std::int32_t to_shard = shard_of_[static_cast<std::size_t>(to)];
-      auto& stage = to_shard == my_shard ? sh.arrivals_local
-                    : to_shard < my_shard ? sh.arrivals_prev
-                                          : sh.arrivals_next;
-      assert(to_shard >= my_shard - 1 && to_shard <= my_shard + 1);
-      stage.push_back(PendingTransfer{to, opposite(t.out_dir), t.out_vc, t.flit});
-    }
-    for (const auto& c : sh.credit_scratch) {
-      // The flit was read from input port `c.in_dir`; the upstream router
-      // lies in that direction and regains a credit on its facing output.
-      const NodeId to = neighbors_[static_cast<std::size_t>(id)][static_cast<std::size_t>(
-          c.in_dir)];
-      assert(to >= 0);
-      const std::int32_t to_shard = shard_of_[static_cast<std::size_t>(to)];
-      auto& stage = to_shard == my_shard ? sh.credits_local
-                    : to_shard < my_shard ? sh.credits_prev
-                                          : sh.credits_next;
-      stage.push_back(PendingCredit{to, opposite(c.in_dir), c.vc});
-    }
   });
 }
 
 void Mesh::apply_phase(std::size_t s) {
-  // Apply every arrival addressed to shard s: previous shard's next-list,
-  // own local list, next shard's prev-list — ascending source-router
+  // Apply every arrival addressed to shard s: previous shard's Next lane,
+  // own Local lane, next shard's Prev lane — ascending source-router
   // order, and only shard s's routers are written. (The apply order is
   // also state-equivalent under any interleaving: at most one flit per
   // (router, in_dir, vc) arrives per cycle, and credits commute.)
   Shard& sh = shards_[s];
-  const auto apply_arrivals = [&](const std::vector<PendingTransfer>& stage) {
-    for (const auto& a : stage) {
+  const auto apply_flits = [&](const std::vector<StagedFlit>& lane) {
+    for (const auto& a : lane) {
       // Arrivals land at the end of the cycle; timestamp them at now_ + 1
       // so the occupancy integral attributes the new flit to the next
       // cycle.
@@ -356,17 +343,17 @@ void Mesh::apply_phase(std::size_t s) {
       sh.active_routers.set(static_cast<std::size_t>(a.to - sh.first));
     }
   };
-  const auto apply_credits = [&](const std::vector<PendingCredit>& stage) {
-    for (const auto& c : stage) {
+  const auto apply_credits = [&](const std::vector<StagedCredit>& lane) {
+    for (const auto& c : lane) {
       routers_[static_cast<std::size_t>(c.to)].accept_credit(c.out_dir, c.vc);
     }
   };
-  if (s > 0) apply_arrivals(shards_[s - 1].arrivals_next);
-  apply_arrivals(sh.arrivals_local);
-  if (s + 1 < shards_.size()) apply_arrivals(shards_[s + 1].arrivals_prev);
-  if (s > 0) apply_credits(shards_[s - 1].credits_next);
-  apply_credits(sh.credits_local);
-  if (s + 1 < shards_.size()) apply_credits(shards_[s + 1].credits_prev);
+  if (s > 0) apply_flits(shards_[s - 1].lanes.flits_to(Lane::Next));
+  apply_flits(sh.lanes.flits_to(Lane::Local));
+  if (s + 1 < shards_.size()) apply_flits(shards_[s + 1].lanes.flits_to(Lane::Prev));
+  if (s > 0) apply_credits(shards_[s - 1].lanes.credits_to(Lane::Next));
+  apply_credits(sh.lanes.credits_to(Lane::Local));
+  if (s + 1 < shards_.size()) apply_credits(shards_[s + 1].lanes.credits_to(Lane::Prev));
 }
 
 void Mesh::step_shards(std::int32_t participant) {
@@ -388,7 +375,7 @@ void Mesh::finish_cycle() {
   // thread, shards ascending = router ids ascending — byte-identical to
   // the single-shard sweep at any shard/thread count.
   for (const auto& sh : shards_) {
-    for (const auto& f : sh.ejected) {
+    for (const auto& f : sh.lanes.ejected) {
       stats_.on_flit_ejected(f, now_);
       if (is_tail(f.type)) {
         stats_.on_packet_ejected(f, now_);

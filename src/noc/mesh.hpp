@@ -23,23 +23,27 @@
 //
 // STEP PHASES. Every cycle runs:
 //   1. NI + route phase, per shard (parallelizable): each shard serializes
-//      its active source queues, steps its active routers in ascending id
-//      order, and stages outgoing link transfers/credits into per-shard
-//      arenas — one list for same-shard targets, one per neighboring shard.
-//      Ejections are staged per shard in ascending router order.
+//      its active source queues and steps its active routers in ascending
+//      id order. Router::step writes every flit that leaves and every
+//      credit it owes straight into the shard's StagingLanes — one lane for
+//      same-shard targets, one per neighboring shard — picking the lane
+//      from the router's LinkEnd table, which the constructor resolves
+//      once per link (neighbor id, its facing port, lane). Ejections are
+//      staged per shard in ascending router order.
 //   2. BARRIER (when step_threads > 1).
 //   3. Apply phase, per shard (parallelizable): each shard applies the
-//      arrivals addressed TO it — previous shard's down-list, own local
-//      list, next shard's up-list, i.e. ascending source-router order —
-//      then credits. Only the owning shard ever writes its routers, so
-//      phases 1 and 3 are data-race-free by partition.
+//      arrivals addressed TO it — previous shard's Next lane, own Local
+//      lane, next shard's Prev lane, i.e. ascending source-router order —
+//      then credits, in the same lane order. Only the owning shard ever
+//      writes its routers, so phases 1 and 3 are data-race-free by
+//      partition.
 //   4. Serial coordinator phase: ejection statistics and the delivery
 //      listener run on the calling thread, shards in ascending order —
 //      so the order-sensitive floating-point latency accumulation and
 //      listener callbacks happen in ascending router-id order, BYTE-
 //      IDENTICAL to the single-shard, single-thread sweep at any shard
 //      or thread count. (Within phase 3, interleaving across staging
-//      lists is state-equivalent: at most one flit per (router, port,
+//      lanes is state-equivalent: at most one flit per (router, port,
 //      VC) arrives per cycle and credit increments commute.)
 //
 // Two active sets per shard keep idle structure off the per-cycle path.
@@ -70,10 +74,11 @@
 // speedup_32_benign_sharded_vs_1shard floor fails when sharing drags the
 // sharded sweep below 0.75x the 1-shard sweep.
 //
-// Mesh::step performs ZERO steady-state heap allocations: every arena —
-// per-shard staging lists included — is reserved at its physical per-cycle
-// maximum in the constructor (tests/noc_ring_test.cpp counts allocations,
-// sharded configurations included).
+// Mesh::step performs ZERO steady-state heap allocations: every per-shard
+// staging lane is reserved at its physical per-cycle maximum in the
+// constructor, and the step pool's handoff is atomics only
+// (tests/noc_ring_test.cpp counts allocations, sharded configurations
+// included).
 // ---------------------------------------------------------------------------
 #pragma once
 
@@ -232,20 +237,6 @@ class Mesh {
   void reset_occupancy_windows();
 
  private:
-  /// A flit crossing a link this cycle (applied after all routers step).
-  struct PendingTransfer {
-    NodeId to;
-    Direction in_dir;  ///< input port at the destination router
-    std::int32_t vc;
-    Flit flit;
-  };
-  /// A credit crossing a link this cycle.
-  struct PendingCredit {
-    NodeId to;
-    Direction out_dir;  ///< output port at the upstream router
-    std::int32_t vc;
-  };
-
   /// Set of node ids within one shard, as bits walked in ascending order.
   /// The words are stored in whole 64-byte lines in an allocation of their
   /// own, so no two shards' sets share a cache line (see the header block).
@@ -295,21 +286,12 @@ class Mesh {
     ActiveBits active_routers;
     ActiveBits active_sources;
 
-    // Per-router step scratch (cleared per router, capacity kept).
-    std::vector<LinkTransfer> transfers;
-    std::vector<CreditReturn> credit_scratch;
-
-    // Staging arenas, filled by this shard's route phase and consumed by
-    // the (possibly remote) apply phases after the barrier. "prev"/"next"
-    // address the adjacent shard; row bands guarantee nothing crosses
-    // further. All reserved at physical maxima in the constructor.
-    std::vector<PendingTransfer> arrivals_local;
-    std::vector<PendingTransfer> arrivals_prev;
-    std::vector<PendingTransfer> arrivals_next;
-    std::vector<PendingCredit> credits_local;
-    std::vector<PendingCredit> credits_prev;
-    std::vector<PendingCredit> credits_next;
-    std::vector<Flit> ejected;  ///< ascending router order within the shard
+    // Staging lanes, written by this shard's routers as they step and
+    // consumed by the (possibly remote) apply phases after the barrier.
+    // Lane::Prev/Next address the adjacent shard; row bands guarantee
+    // nothing crosses further. All reserved at physical maxima in the
+    // constructor.
+    StagingLanes lanes;
   };
 
   class StepPool;  // persistent worker pool + barrier (mesh.cpp)
@@ -338,11 +320,9 @@ class Mesh {
   LatencyStats benign_stats_;
 
   // Shard partition (see header block). shard_of_ maps node -> shard
-  // index; neighbors_ memoizes MeshShape::neighbor per direction (-1 at
-  // edges) so the staging loops never re-derive coordinates by division.
+  // index.
   std::vector<Shard> shards_;
   std::vector<std::int32_t> shard_of_;
-  std::vector<std::array<NodeId, kNumMeshDirections>> neighbors_;
   std::int32_t step_threads_ = 1;
   std::unique_ptr<StepPool> pool_;  ///< nullptr when step_threads_ == 1
 };

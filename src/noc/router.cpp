@@ -39,14 +39,14 @@ double InputPort::avg_vc_occupancy(Cycle now) const noexcept {
          (static_cast<double>(elapsed) * static_cast<double>(vcs.size()));
 }
 
-std::optional<std::int32_t> OutputPort::find_free_vc() const noexcept {
-  for (std::int32_t v = 0; v < vc_count; ++v) {
-    if (!vc_in_use[static_cast<std::size_t>(v)]) return v;
-  }
-  return std::nullopt;
+void StagingLanes::clear() noexcept {
+  for (auto& lane : flits) lane.clear();
+  for (auto& lane : credits) lane.clear();
+  ejected.clear();
 }
 
-Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg) : id_(id), cfg_(cfg) {
+Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg)
+    : id_(id), cfg_(cfg), here_(mesh.coord_of(id)), cols_(mesh.cols()) {
   if (cfg.vc_depth < 1 || cfg.vc_depth > FlitFifo::kMaxCapacity) {
     throw std::invalid_argument("RouterConfig::vc_depth must be in [1, " +
                                 std::to_string(FlitFifo::kMaxCapacity) + "], got " +
@@ -69,10 +69,9 @@ Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg) : id_(
       static_cast<std::size_t>(std::bit_ceil(static_cast<std::uint32_t>(cfg.vc_depth)));
   vc_storage_.resize(kNumPorts * vcs);
   slot_storage_.resize(kNumPorts * vcs * depth_pow2);
-  const Coord here = mesh.coord_of(id);
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     const auto dir = static_cast<Direction>(p);
-    const bool connected = mesh.has_port(here, dir);
+    const bool connected = mesh.has_port(here_, dir);
     auto& in = inputs_[p];
     in.connected = connected;
     in.vcs = VcSpan(vc_storage_.data() + p * vcs, cfg.vcs_per_port);
@@ -82,11 +81,13 @@ Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg) : id_(
     }
     auto& out = outputs_[p];
     out.connected = connected;
-    out.vc_count = cfg.vcs_per_port;
     out.credits.fill(0);
     for (std::size_t v = 0; v < vcs; ++v) out.credits[v] = cfg.vc_depth;
-    out.vc_in_use.fill(false);
+    out.free_vcs = (std::uint32_t{1} << vcs) - 1;
     vc_owner_[p].fill(-1);
+    if (dir != Direction::Local) {
+      links_[p] = LinkEnd{mesh.neighbor(id, dir).value_or(-1), opposite(dir), Lane::Local};
+    }
   }
   // The local output (ejection) always drains in one cycle, so model it as
   // a connected port with per-VC credits that are returned instantly.
@@ -143,7 +144,7 @@ void Router::accept_credit(Direction out_dir, std::int32_t vc) noexcept {
   }
 }
 
-void Router::allocate_vcs(const MeshShape& mesh) {
+void Router::allocate_vcs() {
   // Route computation + VC allocation for every Idle VC with a head flit
   // at the front of its FIFO. The scan starts from a rotating (port, vc)
   // offset so that competing inputs share scarce downstream VCs fairly
@@ -160,10 +161,9 @@ void Router::allocate_vcs(const MeshShape& mesh) {
     const Flit& head = vc.buffer.front();
     assert(is_head(head.type));
     if (!vc.route_cached) {
-      vc.cached_route = xy_route_step(mesh, id_, head.dst);
+      vc.cached_route = xy_route_from(here_, head.dst, cols_);
       vc.route_cached = true;
     }
-    assert(vc.cached_route == xy_route_step(mesh, id_, head.dst));
     const Direction out_dir = vc.cached_route;
     auto& out = outputs_[static_cast<std::size_t>(out_dir)];
     if (out_dir == Direction::Local) {
@@ -175,8 +175,7 @@ void Router::allocate_vcs(const MeshShape& mesh) {
       credited_routed_to_[static_cast<std::size_t>(out_dir)] |= bit;
       credited_union_ |= bit;
     } else {
-      const auto free_vc = out.find_free_vc();
-      if (!free_vc) {
+      if (out.free_vcs == 0) {
         // Stall in VA. Retrying is pointless — and skipped — until this
         // output port frees a downstream VC (the tail release in step()
         // re-arms every slot parked on the port).
@@ -184,13 +183,13 @@ void Router::allocate_vcs(const MeshShape& mesh) {
         va_blocked_union_ |= bit;
         continue;
       }
-      out.vc_in_use[static_cast<std::size_t>(*free_vc)] = true;
-      vc_owner_[static_cast<std::size_t>(out_dir)][static_cast<std::size_t>(*free_vc)] =
-          static_cast<std::int8_t>(slot);
+      const auto free_vc = static_cast<std::size_t>(std::countr_zero(out.free_vcs));
+      out.free_vcs &= out.free_vcs - 1;  // claim the lowest free VC
+      vc_owner_[static_cast<std::size_t>(out_dir)][free_vc] = static_cast<std::int8_t>(slot);
       vc.state = VirtualChannel::State::Active;
       vc.out_dir = out_dir;
-      vc.out_vc = *free_vc;
-      if (out.credits[static_cast<std::size_t>(*free_vc)] > 0) {
+      vc.out_vc = static_cast<std::int32_t>(free_vc);
+      if (out.credits[free_vc] > 0) {
         // A freshly claimed VC can still be credit-starved: the previous
         // owner's flits may not have drained downstream yet.
         credited_routed_to_[static_cast<std::size_t>(out_dir)] |= bit;
@@ -202,8 +201,7 @@ void Router::allocate_vcs(const MeshShape& mesh) {
   }
 }
 
-void Router::step(const MeshShape& mesh, std::vector<LinkTransfer>& transfers,
-                  std::vector<CreditReturn>& credits, std::vector<Flit>& ejected, Cycle now) {
+void Router::step(StagingLanes& out, Cycle now) {
   // Idle fast-path: with no buffered flits there is nothing to route,
   // allocate or traverse (Active-but-empty VCs just wait for more flits).
   // Most routers are idle most cycles under realistic loads, so this
@@ -235,86 +233,93 @@ void Router::step(const MeshShape& mesh, std::vector<LinkTransfer>& transfers,
     va_round_robin_ = (va_round_robin_ + 1 + pending_rotations_) % all_slots;
     pending_rotations_ = 0;
   }
-  if (va_candidates != 0) allocate_vcs(mesh);
+  if (va_candidates != 0) allocate_vcs();
 
   // Switch allocation: pick one winning input VC per output port, scanning
   // input (port, vc) pairs from a rotating round-robin start so no input
   // starves. An input port may also send at most one flit per cycle.
-  // routed_to_[out] is exactly the set of eligible slots (Active, routed
-  // to this output, flit buffered), so the rotated sweep walks its set
-  // bits — skipping busy input ports wholesale — in the same order the
-  // full slot scan would.
+  // credited_routed_to_[out] is exactly the set of eligible slots (Active,
+  // routed to this output, flit buffered, credit available), so the
+  // rotated sweep walks its set bits — skipping busy input ports
+  // wholesale — in the same order the full slot scan would. An output's
+  // SA only ever clears bits of its own mask, so the ports worth visiting
+  // are fixed before the first one runs.
   std::uint64_t busy_input_slots = 0;  ///< every slot of inputs that already sent
+  std::uint32_t eligible_ports = 0;
+  for (std::size_t p = 0; p < kNumPorts; ++p) {
+    eligible_ports |= static_cast<std::uint32_t>(credited_routed_to_[p] != 0) << p;
+  }
 
-  for (std::size_t out_p = 0; out_p < kNumPorts; ++out_p) {
-    const auto out_dir = static_cast<Direction>(out_p);
-    auto& out = outputs_[out_p];
+  for (; eligible_ports != 0; eligible_ports &= eligible_ports - 1) {
+    const auto out_p = static_cast<std::size_t>(std::countr_zero(eligible_ports));
     // credited_routed_to_ already excludes credit-starved slots, so the
     // rotated first bit IS the winner — same slot the pre-mask scan chose
     // by skipping starved candidates without advancing the round-robin.
     const std::uint64_t candidates = credited_routed_to_[out_p] & ~busy_input_slots;
+    if (candidates == 0) continue;
 
-    if (candidates != 0) {
-      const std::size_t slot = rotated_first_bit(candidates, sa_round_robin_[out_p]);
-      const std::uint64_t bit = std::uint64_t{1} << slot;
-      const std::size_t in_p = slot_port(slot);
-      const std::size_t in_v = slot_vc(slot);
-      auto& port = inputs_[in_p];
-      auto& vc = port.vcs[in_v];
-      assert(vc.state == VirtualChannel::State::Active && vc.out_dir == out_dir &&
-             !vc.buffer.empty());
-      assert(out_dir == Direction::Local ||
-             out.credits[static_cast<std::size_t>(vc.out_vc)] > 0);
+    const std::size_t slot = rotated_first_bit(candidates, sa_round_robin_[out_p]);
+    const std::uint64_t bit = std::uint64_t{1} << slot;
+    const std::size_t in_p = slot_port(slot);
+    const std::size_t in_v = slot_vc(slot);
+    auto& port = inputs_[in_p];
+    auto& vc = port.vcs[in_v];
+    auto& output = outputs_[out_p];
+    assert(vc.state == VirtualChannel::State::Active &&
+           vc.out_dir == static_cast<Direction>(out_p) && !vc.buffer.empty());
+    assert(vc.out_dir == Direction::Local ||
+           output.credits[static_cast<std::size_t>(vc.out_vc)] > 0);
 
-      // Switch + link traversal.
-      Flit flit = vc.buffer.front();
-      vc.buffer.pop_front();
-      ++port.telemetry.buffer_reads;
-      --buffered_;
-      busy_input_slots |= port_slots(in_p);
-      sa_round_robin_[out_p] = slot + 1 == all_slots ? 0 : slot + 1;
-
-      const auto in_dir = static_cast<Direction>(in_p);
-      if (in_dir != Direction::Local) {
-        credits.push_back(CreditReturn{in_dir, static_cast<std::int32_t>(in_v)});
-      }
-
-      if (out_dir == Direction::Local) {
-        ejected.push_back(flit);
-      } else {
-        if (--out.credits[static_cast<std::size_t>(vc.out_vc)] == 0) {
-          credited_routed_to_[out_p] &= ~bit;  // starved until a credit returns
-          credited_union_ &= ~bit;
-        }
-        transfers.push_back(LinkTransfer{out_dir, vc.out_vc, flit});
-        if (is_tail(flit.type)) {
-          out.vc_in_use[static_cast<std::size_t>(vc.out_vc)] = false;
-          vc_owner_[out_p][static_cast<std::size_t>(vc.out_vc)] = -1;
-          // A downstream VC just freed: every slot whose VA stalled on
-          // this output port becomes allocatable again.
-          va_blocked_union_ &= ~va_blocked_[out_p];
-          va_blocked_[out_p] = 0;
-        }
-      }
-      if (is_tail(flit.type)) {
-        vc.state = VirtualChannel::State::Idle;
-        vc.out_vc = -1;
-        vc.route_cached = false;  // the next front flit is a new packet's head
-        active_slots_ &= ~bit;
-        routed_to_[out_p] &= ~bit;
-        credited_routed_to_[out_p] &= ~bit;
+    // Switch + link traversal: the flit is copied once, from its FIFO slot
+    // into the lane (the slot is reused only by a later push).
+    const Flit& flit = vc.buffer.front();
+    const bool tail = is_tail(flit.type);
+    if (out_p != static_cast<std::size_t>(Direction::Local)) {
+      const LinkEnd& down = links_[out_p];
+      out.flits_to(down.lane).emplace_back(down.to, down.port, vc.out_vc, flit);
+      if (--output.credits[static_cast<std::size_t>(vc.out_vc)] == 0) {
+        credited_routed_to_[out_p] &= ~bit;  // starved until a credit returns
         credited_union_ &= ~bit;
       }
-      if (vc.buffer.empty()) {
-        nonempty_slots_ &= ~bit;
-        routed_to_[out_p] &= ~bit;
-        credited_routed_to_[out_p] &= ~bit;
-        credited_union_ &= ~bit;
+      if (tail) {
+        output.free_vcs |= std::uint32_t{1} << static_cast<std::uint32_t>(vc.out_vc);
+        vc_owner_[out_p][static_cast<std::size_t>(vc.out_vc)] = -1;
+        // A downstream VC just freed: every slot whose VA stalled on
+        // this output port becomes allocatable again.
+        va_blocked_union_ &= ~va_blocked_[out_p];
+        va_blocked_[out_p] = 0;
       }
-      if (!vc.occupied()) {
-        port.occ_touch(now);
-        --port.occupied_vcs;
-      }
+    } else {
+      out.ejected.push_back(flit);
+    }
+    if (in_p != static_cast<std::size_t>(Direction::Local)) {
+      const LinkEnd& up = links_[in_p];
+      out.credits_to(up.lane).emplace_back(up.to, up.port, static_cast<std::int32_t>(in_v));
+    }
+    vc.buffer.pop_front();
+    ++port.telemetry.buffer_reads;
+    --buffered_;
+    busy_input_slots |= port_slots(in_p);
+    sa_round_robin_[out_p] = slot + 1 == all_slots ? 0 : slot + 1;
+
+    if (tail) {
+      vc.state = VirtualChannel::State::Idle;
+      vc.out_vc = -1;
+      vc.route_cached = false;  // the next front flit is a new packet's head
+      active_slots_ &= ~bit;
+      routed_to_[out_p] &= ~bit;
+      credited_routed_to_[out_p] &= ~bit;
+      credited_union_ &= ~bit;
+    }
+    if (vc.buffer.empty()) {
+      nonempty_slots_ &= ~bit;
+      routed_to_[out_p] &= ~bit;
+      credited_routed_to_[out_p] &= ~bit;
+      credited_union_ &= ~bit;
+    }
+    if (!vc.occupied()) {
+      port.occ_touch(now);
+      --port.occupied_vcs;
     }
   }
 }

@@ -5,15 +5,22 @@
 // RC -> VA -> SA -> ST sequence, collapsed into one cycle per hop:
 //
 //   * Route computation: an Idle VC whose front flit is a head computes the
-//     XY output direction.
-//   * VC allocation: the VC claims a free downstream virtual channel on
-//     that output (ownership lasts until the tail flit leaves).
+//     XY output direction from the router's own coordinate, fixed at
+//     construction, and the destination's, found by one multiply-shift
+//     (xy_route_from; xy_route_step is the reference it must equal).
+//   * VC allocation: the VC claims the lowest free downstream virtual
+//     channel on that output, the lowest set bit of the output's free-VC
+//     mask (ownership lasts until the tail flit leaves).
 //   * Switch allocation: among all input VCs with a buffered flit, an
 //     allocated output and at least one credit, one winner is chosen per
-//     output port AND per input port (round-robin priority).
-//   * Switch/link traversal: the winning flit is popped (a buffer read),
-//     a credit is returned upstream, and the flit is latched onto the
-//     output link to arrive at the neighbor next cycle.
+//     output port AND per input port (round-robin priority). Only output
+//     ports with such a VC are visited, in ascending port order.
+//   * Switch/link traversal: the winning flit is popped (a buffer read)
+//     and copied once, from its FIFO slot straight into the staging lane
+//     that its output link's LinkEnd names, addressed to the neighbor's
+//     input VC; the credit owed upstream goes into the lane of the input
+//     link's LinkEnd. The mesh applies both next, so a flit moves
+//     FIFO -> lane -> FIFO per hop.
 //
 // The router also accumulates the two telemetry features DL2Fence consumes:
 // instantaneous virtual-channel occupancy (VCO) and accumulated buffer
@@ -32,8 +39,8 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -61,8 +68,9 @@ struct VirtualChannel {
   Direction out_dir = Direction::Local;  ///< valid when Active
   /// Memoized XY route of the head flit at the FRONT of the buffer, for
   /// Idle VCs stalled in VC allocation: a VA retry re-reads this instead
-  /// of redoing the coord_of division chain every cycle (invalidated
-  /// whenever the front flit changes packet — push-to-empty, tail pop).
+  /// of reloading the head flit from the slot arena and re-routing it
+  /// every cycle (invalidated whenever the front flit changes packet —
+  /// push-to-empty, tail pop).
   Direction cached_route = Direction::Local;
   bool route_cached = false;
   std::int32_t out_vc = -1;              ///< downstream VC id, valid when Active
@@ -149,26 +157,104 @@ struct OutputPort {
   /// Fixed-capacity so the port is inline and trivially movable; entries
   /// at index >= the configured vcs_per_port are unused.
   std::array<std::int32_t, kMaxVcsPerPort> credits{};
-  /// Which downstream VC ids are currently owned by one of our input VCs.
-  std::array<bool, kMaxVcsPerPort> vc_in_use{};
-  std::int32_t vc_count = 0;  ///< configured vcs_per_port (scan bound)
+  /// Downstream VC ids not owned by any of our input VCs, one bit each.
+  /// VC allocation claims the lowest set bit; a tail flit leaving sets its
+  /// VC's bit again.
+  std::uint32_t free_vcs = 0;
   bool connected = false;
-
-  [[nodiscard]] std::optional<std::int32_t> find_free_vc() const noexcept;
 };
 
-/// A flit leaving through an output port this cycle (applied by the mesh).
-struct LinkTransfer {
-  Direction out_dir = Direction::Local;
-  std::int32_t out_vc = -1;
+/// Which of a shard's staging lanes a link feeds: the shard's own routers,
+/// or the row band just before / after it (XY hops never cross further).
+enum class Lane : std::uint8_t { Local = 0, Prev = 1, Next = 2 };
+inline constexpr std::size_t kNumLanes = 3;
+
+/// The far end of one mesh-direction link: the neighbor router, its port
+/// facing back at us, and the lane that carries traffic to it. The same
+/// entry serves a flit leaving through that side and a credit owed to the
+/// upstream router a flit arrived from on that side.
+struct LinkEnd {
+  NodeId to = -1;  ///< -1 at a mesh edge
+  Direction port = Direction::Local;
+  Lane lane = Lane::Local;
+};
+
+/// A flit crossing a link this cycle, addressed to its receiving input VC.
+struct StagedFlit {
+  NodeId to;
+  Direction in_dir;  ///< input port at the receiving router
+  std::int32_t vc;
   Flit flit;
 };
-
-/// A credit returned to the upstream router this cycle.
-struct CreditReturn {
-  Direction in_dir = Direction::Local;  ///< input port the flit was read from
-  std::int32_t vc = -1;
+/// A credit crossing a link this cycle, back to the upstream output port.
+struct StagedCredit {
+  NodeId to;
+  Direction out_dir;  ///< output port at the upstream router
+  std::int32_t vc;
 };
+
+/// Everything routers emit in one cycle, written by Router::step and
+/// applied by the mesh once every router has stepped: one flit and one
+/// credit list per lane (each in ascending router order), plus the
+/// ejections of the routers that stepped.
+struct StagingLanes {
+  std::array<std::vector<StagedFlit>, kNumLanes> flits;
+  std::array<std::vector<StagedCredit>, kNumLanes> credits;
+  std::vector<Flit> ejected;
+
+  [[nodiscard]] std::vector<StagedFlit>& flits_to(Lane l) noexcept {
+    return flits[static_cast<std::size_t>(l)];
+  }
+  [[nodiscard]] const std::vector<StagedFlit>& flits_to(Lane l) const noexcept {
+    return flits[static_cast<std::size_t>(l)];
+  }
+  [[nodiscard]] std::vector<StagedCredit>& credits_to(Lane l) noexcept {
+    return credits[static_cast<std::size_t>(l)];
+  }
+  [[nodiscard]] const std::vector<StagedCredit>& credits_to(Lane l) const noexcept {
+    return credits[static_cast<std::size_t>(l)];
+  }
+  void clear() noexcept;
+};
+
+/// Exact `n / cols` for 0 <= n < 2^15 as one multiply and shift.
+/// magic = ceil(2^32 / cols) = (2^32 + e) / cols with 0 <= e < cols, so
+/// n * magic / 2^32 exceeds n / cols by n * e / (cols * 2^32), less than
+/// 1/cols while n * cols <= 2^32. The fraction of n / cols is at most
+/// (cols - 1) / cols, so the floor never moves. Every id and column count
+/// a Mesh admits qualifies (node_count <= 32767, so n * cols < 2^30).
+class ColumnDivider {
+ public:
+  explicit constexpr ColumnDivider(std::int32_t cols) noexcept
+      : magic_(((std::uint64_t{1} << 32) + static_cast<std::uint64_t>(cols) - 1) /
+               static_cast<std::uint64_t>(cols)),
+        cols_(cols) {
+    assert(cols >= 1);
+  }
+  [[nodiscard]] constexpr std::int32_t cols() const noexcept { return cols_; }
+  [[nodiscard]] constexpr std::int32_t quotient(std::int32_t n) const noexcept {
+    assert(n >= 0 && n < (1 << 15));
+    return static_cast<std::int32_t>((static_cast<std::uint64_t>(n) * magic_) >> 32);
+  }
+
+ private:
+  std::uint64_t magic_;
+  std::int32_t cols_;
+};
+
+/// XY output direction from the router at `here` toward node `dst` —
+/// xy_route_step with the router's coordinate precomputed and the
+/// destination's found without a divide.
+[[nodiscard]] constexpr Direction xy_route_from(Coord here, NodeId dst,
+                                                ColumnDivider div) noexcept {
+  const std::int32_t dy = div.quotient(dst);
+  const std::int32_t dx = dst - dy * div.cols();
+  if (here.x < dx) return Direction::East;
+  if (here.x > dx) return Direction::West;
+  if (here.y < dy) return Direction::North;
+  if (here.y > dy) return Direction::South;
+  return Direction::Local;
+}
 
 class Router {
  public:
@@ -208,17 +294,31 @@ class Router {
   /// Re-credit a downstream VC slot after the neighbor drained one flit.
   void accept_credit(Direction out_dir, std::int32_t vc) noexcept;
 
-  /// Run one cycle of RC/VA/SA/ST. Ejected flits (destination reached) are
-  /// appended to `ejected`; flits bound for neighbors to `transfers`;
-  /// credits owed upstream to `credits`.
-  void step(const MeshShape& mesh, std::vector<LinkTransfer>& transfers,
-            std::vector<CreditReturn>& credits, std::vector<Flit>& ejected, Cycle now = 0);
+  /// Where the link on mesh side `d` leads (to == -1 at a mesh edge). The
+  /// constructor points every link at the Local lane; a sharded Mesh
+  /// re-points the links that cross into another row band.
+  [[nodiscard]] const LinkEnd& link(Direction d) const noexcept {
+    assert(d != Direction::Local);
+    return links_[static_cast<std::size_t>(d)];
+  }
+  void set_link_lane(Direction d, Lane lane) noexcept {
+    assert(d != Direction::Local);
+    links_[static_cast<std::size_t>(d)].lane = lane;
+  }
+
+  /// Run one cycle of RC/VA/SA/ST. Each flit that wins the switch is
+  /// written once, straight from its input FIFO into `out`: ejected flits
+  /// (destination reached) to `out.ejected`, flits bound for a neighbor to
+  /// the flit list of that link's lane, and the credit owed upstream for
+  /// every flit read off a mesh input to the credit list of that input
+  /// link's lane.
+  void step(StagingLanes& out, Cycle now = 0);
 
   /// Total flits buffered across all ports (for drain / deadlock checks).
   [[nodiscard]] std::int64_t buffered_flits() const noexcept { return buffered_; }
 
  private:
-  void allocate_vcs(const MeshShape& mesh);
+  void allocate_vcs();
 
   /// Slot index of (input port, vc) in the occupancy bitmasks below.
   [[nodiscard]] std::size_t slot_of(std::size_t port, std::size_t vc) const noexcept {
@@ -245,6 +345,9 @@ class Router {
   NodeId id_;
   RouterConfig cfg_;
   std::int32_t vcs_shift_ = -1;  ///< log2(vcs_per_port), or -1 if not a power of two
+  Coord here_;                   ///< this router's coordinate (route computation)
+  ColumnDivider cols_;           ///< mesh columns, for dividing destination ids
+  std::array<LinkEnd, kNumMeshDirections> links_{};
   std::array<InputPort, kNumPorts> inputs_;
   std::array<OutputPort, kNumPorts> outputs_;
   std::array<std::size_t, kNumPorts> sa_round_robin_{};  ///< per-output priority pointer
